@@ -20,6 +20,7 @@ module F = Logic.Formula
 module R = Arith.Rat
 module P = Arith.Poly
 module AE = Approx_measure.Estimator
+module Pipeline = Zeroone.Pipeline
 
 open Cmdliner
 
@@ -226,6 +227,16 @@ let parse_ks inst = function
       |> List.filter (fun x -> x <> "")
       |> List.map int_of_string
 
+(* The candidate tuple of measure/conditional: required exactly when
+   the query is non-Boolean. *)
+let answer_tuple q tuple =
+  match load_tuple tuple with
+  | Some t -> t
+  | None when Query.arity q = 0 -> Tuple.empty
+  | None ->
+      Printf.eprintf "error: non-Boolean query needs --tuple\n";
+      exit 2
+
 let print_relation label rel =
   Printf.printf "%s (%d tuple%s):\n" label (Relation.cardinal rel)
     (if Relation.cardinal rel = 1 then "" else "s");
@@ -305,45 +316,68 @@ let certain_cmd =
     Term.(const run $ schema_arg $ db_arg $ query_arg $ jobs_arg $ no_cache_arg
           $ strict_arg $ metrics_arg $ metrics_json_arg $ trace_arg)
 
-(* Refuse a µ^k series whose valuation space does not even fit in an
-   int: the brute-force sweep would spin forever, and before the typed
-   Bigint.Overflow it died with an anonymous Failure deep inside the
-   engine. Report the k and the exact k^m instead. *)
-let check_space_sizes ?plan ~nulls ks =
-  match plan with
-  | None ->
-      List.iter
-        (fun k ->
-          try ignore (Incomplete.Enumerate.space_size_exn ~nulls ~k)
-          with Arith.Bigint.Overflow size ->
-            Printf.eprintf
-              "error: k = %d over %d nulls gives a valuation space of %s \
-               valuations — too large to enumerate; pick smaller --ks, or \
-               estimate it with --approx EPS,DELTA (e.g. --approx 0.05,0.01)\n"
-              k (List.length nulls)
-              (Arith.Bigint.to_string size);
-            exit 2)
-        ks
-  | Some plan ->
-      (* Factorized sweep: only the per-component spaces k^mᵢ must fit;
-         the free-null factor is pure bigint arithmetic. *)
-      List.iter
-        (fun k ->
-          List.iteri
-            (fun i c ->
-              let cn = c.Incomplete.Factor.c_nulls in
-              try ignore (Incomplete.Enumerate.space_size_exn ~nulls:cn ~k)
-              with Arith.Bigint.Overflow size ->
-                Printf.eprintf
-                  "error: k = %d still gives component %d (%d of the %d \
-                   nulls) a space of %s valuations — too large to enumerate \
-                   even factorized (ANL403); pick smaller --ks, or estimate \
-                   with --approx EPS,DELTA (the sampler works per component)\n"
-                  k (i + 1) (List.length cn) (List.length nulls)
-                  (Arith.Bigint.to_string size);
-                exit 2)
-            plan.Incomplete.Factor.components)
-        ks
+(* The exact pipeline's typed refusals, as diagnostics with exit 2. *)
+let pipeline_or_die = function
+  | Ok v -> v
+  | Error e ->
+      (match e with
+      | Pipeline.Negative_k k ->
+          Printf.eprintf "error: --ks entries must be >= 0, got %d\n" k
+      | Pipeline.Space_too_large { k; nulls; size } ->
+          Printf.eprintf
+            "error: k = %d over %d nulls gives a valuation space of %s \
+             valuations — too large to enumerate; pick smaller --ks, or \
+             estimate it with --approx EPS,DELTA (e.g. --approx 0.05,0.01)\n"
+            k nulls
+            (Arith.Bigint.to_string size)
+      | Pipeline.Component_too_large { k; component; nulls; total_nulls; size }
+        ->
+          Printf.eprintf
+            "error: k = %d still gives component %d (%d of the %d nulls) a \
+             space of %s valuations — too large to enumerate even factorized \
+             (ANL403); pick smaller --ks, or estimate with --approx \
+             EPS,DELTA (the sampler works per component)\n"
+            k component nulls total_nulls
+            (Arith.Bigint.to_string size));
+      exit 2
+
+(* The route of an exact series, announced when it is factorized;
+   --no-decomp forces the monolithic reference. *)
+let exact_route ~no_decomp inst target ks =
+  let route =
+    pipeline_or_die (Pipeline.route ~decomp:(not no_decomp) inst target ~ks)
+  in
+  let parts d = Analysis.Decomp.parts d in
+  (match route with
+  | Pipeline.Factorized [ d ] ->
+      Printf.printf "decomposition: %d independent parts, %s (ANL401)\n"
+        (parts d)
+        (Analysis.Decomp.sizes_string d)
+  | Pipeline.Factorized [ dnum; dden ] ->
+      Printf.printf
+        "decomposition: Σ∧Q %d part%s (%s); Σ %d part%s (%s) (ANL401)\n"
+        (parts dnum)
+        (if parts dnum = 1 then "" else "s")
+        (Analysis.Decomp.sizes_string dnum)
+        (parts dden)
+        (if parts dden = 1 then "" else "s")
+        (Analysis.Decomp.sizes_string dden)
+  | _ -> ());
+  route
+
+let print_exact_series ?jobs ?cache ~label ~cell inst target route ks =
+  let series =
+    pipeline_or_die (Pipeline.series ?jobs ?cache inst target route ~ks)
+  in
+  Printf.printf "%s series (brute force%s):\n" label
+    (match route with
+    | Pipeline.Monolithic -> ""
+    | Pipeline.Factorized _ -> ", factorized");
+  List.iter
+    (fun (k, v) ->
+      Printf.printf "  k = %3d   %s%-12s ≈ %.6f\n" k cell (R.to_string v)
+        (R.to_float v))
+    series
 
 let measure_cmd =
   let run schema db query tuple ks approx seed stratify no_decomp jobs
@@ -352,81 +386,37 @@ let measure_cmd =
     with_context schema db query (fun sch inst q ->
         let jobs = jobs_opt jobs and cache = cache_opt no_cache in
         let approx = parse_approx approx in
-        let tuple =
-          match load_tuple tuple with
-          | Some t -> t
-          | None ->
-              if Query.arity q = 0 then Tuple.empty
-              else begin
-                Printf.eprintf "error: non-Boolean query needs --tuple\n";
-                exit 2
-              end
-        in
+        let tuple = answer_tuple q tuple in
         precheck ~tuple ~strict sch inst q;
         Printf.printf "query:  %s\n" (Query.to_string q);
         Printf.printf "tuple:  %s\n" (Tuple.to_string tuple);
-        let sp = Zeroone.Support_poly.of_query inst q tuple in
-        let m = Instance.null_count inst in
-        Printf.printf "|Supp^k| = %s   (|V^k| = k^%d)\n" (P.to_string sp) m;
-        let mu = Zeroone.Measure.mu_symbolic inst q tuple in
-        Printf.printf "µ(Q,D,t) = %s   [0-1 law: %s]\n" (R.to_string mu)
-          (Format.asprintf "%a" Zeroone.Measure.pp_verdict
-             (Zeroone.Measure.mu inst q tuple));
+        let m = Pipeline.measure ?jobs inst q tuple in
+        Printf.printf "|Supp^k| = %s   (|V^k| = k^%d)\n"
+          (P.to_string m.Pipeline.supp_poly)
+          (Instance.null_count inst);
+        Printf.printf "µ(Q,D,t) = %s   [0-1 law: %s]\n"
+          (R.to_string m.Pipeline.mu)
+          (Format.asprintf "%a" Zeroone.Measure.pp_verdict m.Pipeline.verdict);
         let ks = parse_ks inst ks in
-        let nulls =
-          List.sort_uniq Int.compare
-            (Instance.nulls inst @ Tuple.nulls tuple)
-        in
-        (* Decomposition certificate: the factorized path only fires on
-           a genuine [Decomposable] verdict (≥ 2 independent parts), so
-           single-component workloads keep the monolithic sweep
-           bit-for-bit. [Decomp.plan] is sound by construction — the
-           engines agree exactly; --no-decomp forces the old path. *)
-        let decomp =
-          if no_decomp then None
-          else
-            let kc = List.fold_left max 1 ks in
-            let d =
-              Analysis.Decomp.analyze ~k:kc
-                ~extra_nulls:(Tuple.nulls tuple) inst
-                (Query.instantiate q tuple)
-            in
-            match (d.Analysis.Decomp.verdict, Analysis.Decomp.plan d) with
-            | Analysis.Decomp.Decomposable, Some p -> Some (d, p)
-            | _ -> None
-        in
-        (match decomp with
-        | None -> ()
-        | Some (d, _) ->
-            Printf.printf "decomposition: %d independent parts, %s (ANL401)\n"
-              (Analysis.Decomp.parts d)
-              (Analysis.Decomp.sizes_string d));
+        let target = Pipeline.Answer (q, tuple) in
+        let route = exact_route ~no_decomp inst target ks in
         match approx with
-        | None -> (
-            match decomp with
-            | Some (_, plan) ->
-                check_space_sizes ~plan ~nulls ks;
-                print_endline "µ^k series (brute force, factorized):";
-                List.iter
-                  (fun (k, v) ->
-                    Printf.printf "  k = %3d   µ^k = %-12s ≈ %.6f\n" k
-                      (R.to_string v) (R.to_float v))
-                  (Incomplete.Support.mu_k_series_plan ?jobs ?cache inst plan
-                     ~ks)
-            | None ->
-                check_space_sizes ~nulls ks;
-                print_endline "µ^k series (brute force):";
-                List.iter
-                  (fun (k, v) ->
-                    Printf.printf "  k = %3d   µ^k = %-12s ≈ %.6f\n" k
-                      (R.to_string v) (R.to_float v))
-                  (Incomplete.Support.mu_k_series ?jobs ?cache inst q tuple
-                     ~ks))
+        | None ->
+            print_exact_series ?jobs ?cache ~label:"µ^k" ~cell:"µ^k = " inst
+              target route ks
         | Some (eps, delta) -> (
             (* No space preflight here — sampling beyond the exact
-               engine's overflow frontier is the point. *)
-            match decomp with
-            | Some (_, plan) when not stratify ->
+               engine's overflow frontier is the point — but the
+               sampler needs a nonempty space. *)
+            (match List.find_opt (fun k -> k < 1) ks with
+            | Some k ->
+                Printf.eprintf
+                  "error: --approx needs --ks entries >= 1, got %d\n" k;
+                exit 2
+            | None -> ());
+            match route with
+            | Pipeline.Factorized [ d ] when not stratify ->
+                let plan = Option.get (Analysis.Decomp.plan d) in
                 Printf.printf
                   "µ^k estimates (Monte-Carlo, factorized, ε = %s, δ = %s, \
                    seed %d):\n"
@@ -493,16 +483,7 @@ let conditional_cmd =
         let jobs = jobs_opt jobs and cache = cache_opt no_cache in
         let deps = load_constraints sch cstr in
         let sigma = Constraints.Dependency.set_to_formula sch deps in
-        let tuple =
-          match load_tuple tuple with
-          | Some t -> t
-          | None ->
-              if Query.arity q = 0 then Tuple.empty
-              else begin
-                Printf.eprintf "error: non-Boolean query needs --tuple\n";
-                exit 2
-              end
-        in
+        let tuple = answer_tuple q tuple in
         precheck ~deps ~tuple ~strict sch inst q;
         Printf.printf "query:       %s\n" (Query.to_string q);
         Printf.printf "tuple:       %s\n" (Tuple.to_string tuple);
@@ -531,71 +512,13 @@ let conditional_cmd =
         | Zeroone.Conditional.Symbolic -> ());
         match ks with
         | None -> ()
-        | Some _ -> (
+        | Some _ ->
             let ks = parse_ks inst ks in
-            let nulls =
-              List.sort_uniq Int.compare
-                (Instance.nulls inst @ Tuple.nulls tuple @ F.nulls sigma)
-            in
-            (* Both the Σ∧Q and Σ counts factorize over their own
-               interaction graphs, on the shared sweep set — the
-               quotient is then the identical reduced rational. Fire
-               only when at least one side genuinely decomposes. *)
-            let plans =
-              if no_decomp then None
-              else
-                let kc = List.fold_left max 1 ks in
-                let dnum, dden =
-                  Zeroone.Conditional.cond_decomp ~k:kc ~sigma inst q tuple
-                in
-                let decomposable d =
-                  match d.Analysis.Decomp.verdict with
-                  | Analysis.Decomp.Decomposable -> true
-                  | _ -> false
-                in
-                if decomposable dnum || decomposable dden then
-                  match
-                    (Analysis.Decomp.plan dnum, Analysis.Decomp.plan dden)
-                  with
-                  | Some np, Some dp -> Some (dnum, dden, np, dp)
-                  | _ -> None
-                else None
-            in
-            match plans with
-            | Some (dnum, dden, num_plan, den_plan) ->
-                Printf.printf
-                  "decomposition: Σ∧Q %d part%s (%s); Σ %d part%s (%s) \
-                   (ANL401)\n"
-                  (Analysis.Decomp.parts dnum)
-                  (if Analysis.Decomp.parts dnum = 1 then "" else "s")
-                  (Analysis.Decomp.sizes_string dnum)
-                  (Analysis.Decomp.parts dden)
-                  (if Analysis.Decomp.parts dden = 1 then "" else "s")
-                  (Analysis.Decomp.sizes_string dden);
-                check_space_sizes ~plan:num_plan ~nulls ks;
-                check_space_sizes ~plan:den_plan ~nulls ks;
-                print_endline "µ^k(Q|Σ) series (brute force, factorized):";
-                List.iter
-                  (fun k ->
-                    let v =
-                      Zeroone.Conditional.mu_cond_k_plans ?jobs ?cache
-                        ~num_plan ~den_plan inst ~k
-                    in
-                    Printf.printf "  k = %3d   %-12s ≈ %.6f\n" k
-                      (R.to_string v) (R.to_float v))
-                  ks
-            | None ->
-                check_space_sizes ~nulls ks;
-                print_endline "µ^k(Q|Σ) series (brute force):";
-                List.iter
-                  (fun k ->
-                    let v =
-                      Zeroone.Conditional.mu_cond_k ?jobs ?cache ~sigma inst q
-                        tuple ~k
-                    in
-                    Printf.printf "  k = %3d   %-12s ≈ %.6f\n" k
-                      (R.to_string v) (R.to_float v))
-                  ks))
+            let target = Pipeline.Given (sigma, q, tuple) in
+            print_exact_series ?jobs ?cache ~label:"µ^k(Q|Σ)" ~cell:"" inst
+              target
+              (exact_route ~no_decomp inst target ks)
+              ks)
   in
   let doc =
     "Conditional measure µ(Q|Σ,D,t) under integrity constraints (Theorem 3); \

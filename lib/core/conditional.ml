@@ -10,14 +10,6 @@ module B = Arith.Bigint
 
 type report = { numerator : Poly.t; denominator : Poly.t; value : Rat.t }
 
-let limit num den =
-  match Poly.limit_ratio num den with
-  | Poly.Finite r -> r
-  | Poly.Undefined -> Rat.zero (* Σ unsatisfiable in D: convention µ = 0 *)
-  | Poly.Infinite ->
-      (* impossible: Supp(Σ∧Q) ⊆ Supp(Σ) gives deg num ≤ deg den *)
-      assert false
-
 let mu_cond_report ?jobs ?cache ~sigma inst q tuple =
   Obs.Trace.span "conditional.report" @@ fun () ->
   let answer = Query.instantiate q tuple in
@@ -30,7 +22,8 @@ let mu_cond_report ?jobs ?cache ~sigma inst q tuple =
   in
   match sp.Support_poly.polys with
   | [ numerator; denominator ] ->
-      { numerator; denominator; value = limit numerator denominator }
+      let value = Support_poly.limit numerator denominator in
+      { numerator; denominator; value }
   | _ -> assert false
 
 let mu_cond ?jobs ?cache ~sigma inst q tuple =
@@ -67,7 +60,7 @@ let mu_cond_deps_direct ?jobs deps inst q tuple =
       [ both; sigma_holds ]
   in
   match sp.Support_poly.polys with
-  | [ numerator; denominator ] -> limit numerator denominator
+  | [ numerator; denominator ] -> Support_poly.limit numerator denominator
   | _ -> assert false
 
 let mu_cond_k ?jobs ?guard ?cache ~sigma inst q tuple ~k =
@@ -79,54 +72,41 @@ let mu_cond_k ?jobs ?guard ?cache ~sigma inst q tuple ~k =
       (Instance.nulls inst @ Tuple.nulls tuple @ Formula.nulls sigma)
   in
   let db = Support.kernel_db ?cache inst in
+  (* The exhaustive sweep: each chunk steps one odometer through its
+     rank range and feeds the digit fast path of the calling domain's
+     memoized Σ and Q(ā) kernels — an answer check only when Σ holds,
+     and no verdict-cache traffic (every key of the sweep is
+     distinct). Bigint partial sums are exact, so any chunking gives
+     the sequential pair. *)
   let num, den =
-    match Enumerate.space_size ~nulls ~k with
-    | Some n ->
-        (* The exhaustive sweep: each chunk steps one odometer through
-           its rank range and feeds the digit fast path of the calling
-           domain's memoized Σ and Q(ā) kernels — an answer check only
-           when Σ holds, exactly like the sequential pass, and no
-           verdict-cache traffic (every key of the sweep is distinct).
-           Bigint partial sums are exact, so any chunking gives the
-           sequential pair. *)
-        Exec.Pool.fold_range ?jobs ?guard ~min_work:512 ~n
-          ~chunk:(fun lo hi ->
-            let sig_kern = Support.domain_kernel db sigma in
-            let ans_kern = Support.domain_kernel db answer in
-            Incomplete.Kernel.prepare_digits sig_kern ~nulls;
-            Incomplete.Kernel.prepare_digits ans_kern ~nulls;
-            Obs.Metrics.add Obs.Metrics.valuations_evaluated (hi - lo);
-            Obs.Metrics.add Obs.Metrics.kernel_refreshes (hi - lo);
-            let num, den =
-              Enumerate.fold_digits_range ~nulls ~k ~lo ~hi
-                (fun ((num, den) as acc) digits ->
-                  if Incomplete.Kernel.holds_digits sig_kern digits then begin
-                    Obs.Metrics.incr Obs.Metrics.valuations_evaluated;
-                    Obs.Metrics.incr Obs.Metrics.kernel_refreshes;
-                    let num =
-                      if Incomplete.Kernel.holds_digits ans_kern digits then
-                        num + 1
-                      else num
-                    in
-                    (num, den + 1)
-                  end
-                  else acc)
-                (0, 0)
-            in
-            (B.of_int num, B.of_int den))
-          ~combine:(fun (n1, d1) (n2, d2) -> (B.add n1 n2, B.add d1 d2))
-          (B.zero, B.zero)
-    | None ->
-        (match guard with Some g -> g () | None -> ());
-        let sig_chk = Support.checker ?cache db sigma in
-        let ans_chk = Support.checker ?cache db answer in
-        Enumerate.fold_valuations ~nulls ~k
-          (fun (num, den) v ->
-            if Support.check sig_chk v then
-              let num = if Support.check ans_chk v then B.succ num else num in
-              (num, B.succ den)
-            else (num, den))
-          (B.zero, B.zero)
+    Exec.Pool.fold_range ?jobs ?guard ~min_work:512
+      ~n:(Enumerate.space_size_exn ~nulls ~k)
+      ~chunk:(fun lo hi ->
+        let sig_kern = Support.domain_kernel db sigma in
+        let ans_kern = Support.domain_kernel db answer in
+        Incomplete.Kernel.prepare_digits sig_kern ~nulls;
+        Incomplete.Kernel.prepare_digits ans_kern ~nulls;
+        Obs.Metrics.add Obs.Metrics.valuations_evaluated (hi - lo);
+        Obs.Metrics.add Obs.Metrics.kernel_refreshes (hi - lo);
+        let num, den =
+          Enumerate.fold_digits_range ~nulls ~k ~lo ~hi
+            (fun ((num, den) as acc) digits ->
+              if Incomplete.Kernel.holds_digits sig_kern digits then begin
+                Obs.Metrics.incr Obs.Metrics.valuations_evaluated;
+                Obs.Metrics.incr Obs.Metrics.kernel_refreshes;
+                let num =
+                  if Incomplete.Kernel.holds_digits ans_kern digits then
+                    num + 1
+                  else num
+                in
+                (num, den + 1)
+              end
+              else acc)
+            (0, 0)
+        in
+        (B.of_int num, B.of_int den))
+      ~combine:(fun (n1, d1) (n2, d2) -> (B.add n1 n2, B.add d1 d2))
+      (B.zero, B.zero)
   in
   if B.is_zero den then Rat.zero else Rat.make num den
 
@@ -145,13 +125,24 @@ let cond_decomp ?k ~sigma inst q tuple =
       (Formula.And (sigma, answer)),
     Analysis.Decomp.analyze ?k ~extra_nulls:extra inst sigma )
 
-let mu_cond_k_plans ?jobs ?guard ?cache ~num_plan ~den_plan inst ~k =
+let mu_cond_k_series_plans ?jobs ?guard ?cache ~num_plan ~den_plan inst ~ks =
   Obs.Trace.span "conditional.mu_k"
-    ~attrs:[ ("k", string_of_int k); ("decomp", "1") ]
+    ~attrs:
+      [ ("ks", String.concat "," (List.map string_of_int ks)); ("decomp", "1") ]
   @@ fun () ->
-  let num = Support.supp_count_plan ?jobs ?guard ?cache inst num_plan ~k in
-  let den = Support.supp_count_plan ?jobs ?guard ?cache inst den_plan ~k in
-  if B.is_zero den then Rat.zero else Rat.make num den
+  let counts plan =
+    Support.supp_count_series_plan ?jobs ?guard ?cache inst plan ~ks
+  in
+  List.map2
+    (fun (k, num) (_, den) ->
+      (k, if B.is_zero den then Rat.zero else Rat.make num den))
+    (counts num_plan) (counts den_plan)
+
+let mu_cond_k_plans ?jobs ?guard ?cache ~num_plan ~den_plan inst ~k =
+  snd
+    (List.hd
+       (mu_cond_k_series_plans ?jobs ?guard ?cache ~num_plan ~den_plan inst
+          ~ks:[ k ]))
 
 let mu_implication ?jobs ?cache ~sigma inst q tuple =
   let answer = Query.instantiate q tuple in
@@ -160,7 +151,7 @@ let mu_implication ?jobs ?cache ~sigma inst q tuple =
       [ Formula.Or (Formula.Not sigma, answer) ]
   in
   match sp.Support_poly.polys with
-  | [ p ] -> limit p sp.Support_poly.total
+  | [ p ] -> Support_poly.limit p sp.Support_poly.total
   | _ -> assert false
 
 type strategy = Chase_fds | Symbolic

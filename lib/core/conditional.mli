@@ -90,7 +90,8 @@ val mu_cond_k :
   k:int ->
   Arith.Rat.t
 (** Brute-force [µ^k(Q|Σ,D,ā)] for cross-checking; 0 when no valuation
-    in [V^k] satisfies [Σ]. *)
+    in [V^k] satisfies [Σ].
+    @raise Arith.Bigint.Overflow if the space [V^k] exceeds [max_int]. *)
 
 val cond_decomp :
   ?k:int ->
@@ -114,9 +115,22 @@ val mu_cond_k_plans :
   Arith.Rat.t
 (** Factorized [µ^k(Q|Σ)]: both counts run component-by-component on
     restricted kernels ({!Incomplete.Support.supp_count_plan}) and the
-    quotient of the exact bigint counts is formed — bit-identical to
+    quotient of the exact bigint counts is formed (0 when no valuation
+    satisfies [Σ]) — bit-identical to
     {!mu_cond_k} on sound plans sharing its sweep set (which
     {!cond_decomp} guarantees). *)
+
+val mu_cond_k_series_plans :
+  ?jobs:int ->
+  ?guard:(unit -> unit) ->
+  ?cache:Incomplete.Support.cache ->
+  num_plan:Incomplete.Factor.plan ->
+  den_plan:Incomplete.Factor.plan ->
+  Relational.Instance.t ->
+  ks:int list ->
+  (int * Arith.Rat.t) list
+(** {!mu_cond_k_plans} for each [k], each plan's component kernels
+    compiled once for the whole series. *)
 
 val mu_implication :
   ?jobs:int ->

@@ -93,9 +93,7 @@ let support_poly inst q tuple =
 let mu_symbolic inst q tuple =
   let _, nulls = anchor_and_nulls inst q tuple in
   let p = support_poly inst q tuple in
-  match Poly.limit_ratio p (Poly.pow Poly.x (List.length nulls)) with
-  | Poly.Finite r -> r
-  | Poly.Infinite | Poly.Undefined -> assert false
+  Support_poly.limit p (Poly.pow Poly.x (List.length nulls))
 
 let is_certain inst q tuple =
   let anchor_set, nulls = anchor_and_nulls inst q tuple in

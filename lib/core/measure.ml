@@ -3,8 +3,6 @@ module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Query = Logic.Query
 module Naive = Incomplete.Naive
-module Support = Incomplete.Support
-module Poly = Arith.Poly
 module Rat = Arith.Rat
 
 type verdict = Almost_certainly_true | Almost_certainly_false
@@ -17,19 +15,12 @@ let mu_boolean inst q =
   if Query.arity q <> 0 then invalid_arg "Measure.mu_boolean: query not Boolean"
   else mu inst q Tuple.empty
 
-let mu_symbolic inst q tuple =
-  let sp = Support_poly.of_sentences inst [ Query.instantiate q tuple ] in
-  match sp.Support_poly.polys with
-  | [ p ] -> (
-      match Poly.limit_ratio p sp.Support_poly.total with
-      | Poly.Finite r -> r
-      | Poly.Infinite ->
-          (* impossible: |Supp^k| ≤ |V^k| = k^m *)
-          assert false
-      | Poly.Undefined ->
-          (* m = 0 never yields a zero total (k^0 = 1) *)
-          assert false)
-  | _ -> assert false
+let symbolic ?jobs inst q tuple =
+  let sp = Support_poly.of_sentences ?jobs inst [ Query.instantiate q tuple ] in
+  let p = List.hd sp.Support_poly.polys in
+  (p, Support_poly.limit p sp.Support_poly.total)
+
+let mu_symbolic inst q tuple = snd (symbolic inst q tuple)
 
 let to_rat = function
   | Almost_certainly_true -> Rat.one
@@ -40,7 +31,6 @@ let is_almost_certainly_true = function
   | Almost_certainly_false -> false
 
 let almost_certain_answers inst q = Naive.answers inst q
-let mu_k_series inst q tuple ~ks = Support.mu_k_series inst q tuple ~ks
 
 let pp_verdict fmt = function
   | Almost_certainly_true -> Format.pp_print_string fmt "almost certainly true"

@@ -22,9 +22,19 @@ val mu :
 
 val mu_boolean : Relational.Instance.t -> Logic.Query.t -> verdict
 
+val symbolic :
+  ?jobs:int ->
+  Relational.Instance.t ->
+  Logic.Query.t ->
+  Relational.Tuple.t ->
+  Arith.Poly.t * Arith.Rat.t
+(** [|Supp^k(Q,D,ā)|] and its limit over [k^m], from one pass over the
+    valuation classes ({!Support_poly.of_sentences}, which documents
+    [?jobs]). *)
+
 val mu_symbolic :
   Relational.Instance.t -> Logic.Query.t -> Relational.Tuple.t -> Arith.Rat.t
-(** [lim_k |Supp^k(Q,D,ā)| / k^m] computed from the support polynomial.
+(** [lim_k |Supp^k(Q,D,ā)| / k^m]: the second half of {!symbolic}.
     The 0–1 law asserts this is 0 or 1 and matches {!mu}. *)
 
 val to_rat : verdict -> Arith.Rat.t
@@ -34,14 +44,5 @@ val almost_certain_answers :
   Relational.Instance.t -> Logic.Query.t -> Relational.Relation.t
 (** The almost-certainly-true answers — by Theorem 1, exactly
     [Q^naïve(D)]. *)
-
-val mu_k_series :
-  Relational.Instance.t ->
-  Logic.Query.t ->
-  Relational.Tuple.t ->
-  ks:int list ->
-  (int * Arith.Rat.t) list
-(** Brute-force [µ^k] samples (re-exported from
-    {!Incomplete.Support.mu_k_series} for convenience). *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

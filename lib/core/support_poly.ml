@@ -97,3 +97,12 @@ let mu_k_exact t ~sentence ~k =
   let total = Poly.eval_int t.total k in
   if Arith.Rat.is_zero total then Arith.Rat.zero
   else Arith.Rat.div (Poly.eval_int p k) total
+
+let limit num den =
+  match Poly.limit_ratio num den with
+  | Poly.Finite r -> r
+  | Poly.Undefined -> Arith.Rat.zero
+  | Poly.Infinite ->
+      (* impossible for supports: every caller's numerator counts a
+         subset of what its denominator counts *)
+      assert false

@@ -52,6 +52,13 @@ val mu_k_exact : t -> sentence:int -> k:int -> Arith.Rat.t
 (** [µ^k] of the [sentence]-th sentence, read off the polynomials
     (valid for [k ≥ max(anchor codes)]). *)
 
+val limit : Arith.Poly.t -> Arith.Poly.t -> Arith.Rat.t
+(** [limit num den = lim_k num(k) / den(k)] for a support count [num]
+    over a count [den] of a superset — [|Supp^k|] over [k^m] is µ
+    (Theorem 1), [|Supp^k(Σ∧Q)|] over [|Supp^k(Σ)|] is µ(Q|Σ)
+    (Theorem 3). 0 when [den] is the zero polynomial (Σ unsatisfiable
+    in [D]). *)
+
 val of_predicates :
   ?jobs:int ->
   anchor_set:int list ->

@@ -7,25 +7,6 @@ module Formula = Logic.Formula
 let all_nulls_split split tuple =
   List.sort_uniq Int.compare (Split.nulls split @ Tuple.nulls tuple)
 
-(* One compiled checker per candidate sentence, applied to every class
-   representative — the kernel db (split + indexes) and the hoisted
-   constants are shared across the whole sweep. *)
-let witnessing_classes_db ?cache db q tuple =
-  let split = Kernel.split db in
-  (* Anchor on the constants of the instantiated sentence Q(ā) too, so
-     tuples carrying constants from outside the database are handled. *)
-  let sentence = Query.instantiate q tuple in
-  let anchor_set = Support.anchor_set_sentences_split split [ sentence ] in
-  let nulls = all_nulls_split split tuple in
-  let chk = Support.domain_checker ?cache db sentence in
-  List.map
-    (fun c ->
-      (c, Support.check chk (Classes.representative ~anchor_set c)))
-    (Classes.enumerate ~anchor_set ~nulls)
-
-let witnessing_classes ?cache inst q tuple =
-  witnessing_classes_db ?cache (Support.kernel_db ?cache inst) q tuple
-
 (* Short-circuiting check: certainty needs every class to witness, so
    stop at the first refuting class (possibility dually at the first
    witnessing one) instead of materializing all verdicts. The metric

@@ -89,13 +89,3 @@ val is_possible_sentence_plan :
   Relational.Instance.t -> Factor.plan -> bool
 (** Same factorization for possibility ([∃v] distributes over
     independent components just like [∀v]). *)
-
-val witnessing_classes :
-  ?cache:Support.cache ->
-  Relational.Instance.t ->
-  Logic.Query.t ->
-  Relational.Tuple.t ->
-  (Classes.t * bool) list
-(** Every valuation class together with the truth of
-    [v(ā) ∈ Q(v(D))] on it — the raw data behind all the decisions
-    above (and behind the measure computations in [Zeroone]). *)

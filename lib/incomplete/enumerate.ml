@@ -55,7 +55,9 @@ let valuation_of_rank ~nulls ~k rank =
 type odometer = { od_nulls : int array; od_digits : int array; od_k : int }
 
 let odometer ~nulls ~k ~rank =
-  if k < 1 then invalid_arg "Enumerate.odometer: k < 1"
+  (* V^0 of no nulls still holds the empty valuation (0^0 = 1). *)
+  if k < 0 || (k = 0 && nulls <> []) then
+    invalid_arg "Enumerate.odometer: k < 1"
   else if rank < 0 then invalid_arg "Enumerate.odometer: negative rank"
   else begin
     let od_nulls = Array.of_list nulls in

@@ -48,7 +48,8 @@ type odometer
 
 val odometer : nulls:int list -> k:int -> rank:int -> odometer
 (** Seed an odometer at the given rank of [\[0, k^m)].
-    @raise Invalid_argument if [k < 1] or the rank is out of range. *)
+    @raise Invalid_argument if [k < 1] over a nonempty [nulls] (or
+    [k < 0]), or if the rank is out of range. *)
 
 val digits : odometer -> int array
 (** The live digit array — mutated in place by {!step}; callers must

@@ -22,10 +22,16 @@ let parts plan =
 
 let component_space c ~k = Enumerate.count ~nulls:c.c_nulls ~k
 
-let free_space plan ~k = Enumerate.count ~nulls:plan.free_nulls ~k
-
-let max_component_nulls plan =
-  List.fold_left (fun m c -> max m (List.length c.c_nulls)) 0 plan.components
+let whole inst sentence ~nulls =
+  { components =
+      [ { c_nulls = nulls;
+          c_sentence = sentence;
+          c_relations = Schema.relations (Instance.schema inst);
+          c_conjuncts = 1
+        } ];
+    free_nulls = [];
+    all_nulls = nulls
+  }
 
 (* The component keeps only the relations its conjuncts mention; the
    other relations are emptied (schema preserved) so the component's

@@ -41,9 +41,10 @@ val parts : plan -> int
 val component_space : component -> k:int -> Arith.Bigint.t
 (** [k^{mᵢ}], exact. *)
 
-val free_space : plan -> k:int -> Arith.Bigint.t
-
-val max_component_nulls : plan -> int
+val whole :
+  Relational.Instance.t -> Logic.Formula.t -> nulls:int list -> plan
+(** The one-component plan: [sentence] swept over all of [nulls] on the
+    whole instance — the monolithic µ^k as a plan. *)
 
 val restricted_instance :
   Relational.Instance.t -> string list -> Relational.Instance.t

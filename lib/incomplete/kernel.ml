@@ -53,15 +53,6 @@ let db_of_instance inst =
   in
   { split; indexes }
 
-let db_of_split split =
-  let ground = Split.ground split in
-  let indexes =
-    List.map
-      (fun name -> (name, Index.of_relation (Instance.relation ground name)))
-      (Schema.relations (Instance.schema (Split.base split)))
-  in
-  { split; indexes }
-
 let split t = t.split
 let instance t = Split.base t.split
 

@@ -33,7 +33,6 @@ type db
 (** The shareable half: split instance + ground-fragment indexes. *)
 
 val db_of_instance : Relational.Instance.t -> db
-val db_of_split : Split.t -> db
 
 val split : db -> Split.t
 val instance : db -> Relational.Instance.t

@@ -52,11 +52,6 @@ type cache = {
   elock : Mutex.t;
 }
 
-type cache_stats = {
-  eval_verdicts : Exec.Cache.stats;
-  kernel_dbs : Exec.Cache.stats;
-}
-
 (* Verdict keys are (epoch, bindings, sentence) triples — one per
    valuation per sentence — so a long µ^k series over a big space would
    grow the table without bound. The cap makes the cache an LRU-ish
@@ -73,11 +68,6 @@ let create_cache () =
     epochs = Hashtbl.create 8;
     adom_epoch = 0;
     elock = Mutex.create ()
-  }
-
-let cache_stats c =
-  { eval_verdicts = Exec.Cache.stats c.verdicts;
-    kernel_dbs = Exec.Cache.stats c.dbs
   }
 
 let kernel_db ?cache inst =
@@ -232,135 +222,127 @@ let all_nulls inst tuple =
    a guaranteed miss that pays the global cache mutex, hashes the
    bindings key, and evicts verdicts the repeated-valuation paths
    (Certain / Support_poly class loops) actually want. [?cache] still
-   feeds those paths and {!kernel_db}; here it only matters to the
-   overflow fallback below.
+   feeds those paths and {!kernel_db}, not this one.
 
    Per-chunk subcounts fit in [int] because the whole space does; they
    are summed as bigints in chunk order — bit-identical to the
-   sequential count since addition is exact. *)
-let count_satisfying ?jobs ?guard ?cache ~db ~sentence ~nulls ~k () =
+   sequential count since addition is exact. A space past [max_int]
+   raises [Bigint.Overflow] up front: no enumeration of it could
+   finish. *)
+let count_satisfying ?jobs ?guard ?cache:_ ~db ~sentence ~nulls ~k () =
   Obs.Trace.span "support.count"
     ~attrs:
       [ ("k", string_of_int k); ("nulls", string_of_int (List.length nulls)) ]
   @@ fun () ->
-  match Enumerate.space_size ~nulls ~k with
-  | Some n ->
-      Exec.Pool.fold_range ?jobs ?guard ~min_work:parallel_threshold ~n
-        ~chunk:(fun lo hi ->
-          let kern = domain_kernel db sentence in
-          Kernel.prepare_digits kern ~nulls;
-          (* Every digit vector is a verdict request and a kernel
-             refresh; counted in bulk to keep the loop branch-free. *)
-          Obs.Metrics.add Obs.Metrics.valuations_evaluated (hi - lo);
-          Obs.Metrics.add Obs.Metrics.kernel_refreshes (hi - lo);
-          let count =
-            Enumerate.fold_digits_range ~nulls ~k ~lo ~hi
-              (fun count digits ->
-                if Kernel.holds_digits kern digits then count + 1 else count)
-              0
-          in
-          B.of_int count)
-        ~combine:B.add B.zero
-  | None ->
-      (* Space too large for rank indexing; the sequential fold is
-         equally hopeless but at least semantically right. *)
-      (match guard with Some g -> g () | None -> ());
-      let chk = checker ?cache db sentence in
-      Enumerate.fold_valuations ~nulls ~k
-        (fun acc v -> if check chk v then B.succ acc else acc)
-        B.zero
+  Exec.Pool.fold_range ?jobs ?guard ~min_work:parallel_threshold
+    ~n:(Enumerate.space_size_exn ~nulls ~k)
+    ~chunk:(fun lo hi ->
+      let kern = domain_kernel db sentence in
+      Kernel.prepare_digits kern ~nulls;
+      (* Every digit vector is a verdict request and a kernel refresh;
+         counted in bulk to keep the loop branch-free. *)
+      Obs.Metrics.add Obs.Metrics.valuations_evaluated (hi - lo);
+      Obs.Metrics.add Obs.Metrics.kernel_refreshes (hi - lo);
+      let count =
+        Enumerate.fold_digits_range ~nulls ~k ~lo ~hi
+          (fun count digits ->
+            if Kernel.holds_digits kern digits then count + 1 else count)
+          0
+      in
+      B.of_int count)
+    ~combine:B.add B.zero
 
-let supp_count ?jobs ?guard ?cache inst q tuple ~k =
+(* ------------------------------------------------------------------ *)
+(* µ^k over a decomposition plan                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One kernel db per component, hoisted so a µ^k series compiles each
+   component once. A one-component plan whose restriction would drop no
+   tuple (every relation it leaves out is empty) sweeps the whole
+   instance — the monolithic sweep, {!Factor.whole} — so it runs on
+   [kernel_db ?cache inst], cached per generation and delta-maintained
+   across updates, instead of a rebuilt copy. The components of a real
+   decomposition run on their own restrictions. The shared verdict
+   cache stays sound across components: keys are (bindings, sentence)
+   and each conjunct belongs to exactly one component, so no two
+   kernels ever answer for the same key. *)
+type compiled_plan = {
+  cp_parts : (Kernel.db * Formula.t * int list) list;
+      (* kernel db, component sentence, component nulls *)
+  cp_free : int list;
+  cp_all : int list;
+}
+
+let compile_plan ?cache inst (plan : Factor.plan) =
+  let covers (c : Factor.component) =
+    List.for_all
+      (fun r ->
+        List.mem r c.Factor.c_relations
+        || Relational.Relation.is_empty (Instance.relation inst r))
+      (Relational.Schema.relations (Instance.schema inst))
+  in
+  let db_of c =
+    match plan.Factor.components with
+    | [ _ ] when covers c -> kernel_db ?cache inst
+    | _ ->
+        Kernel.db_of_instance
+          (Factor.restricted_instance inst c.Factor.c_relations)
+  in
+  { cp_parts =
+      List.map
+        (fun (c : Factor.component) ->
+          (db_of c, c.Factor.c_sentence, c.Factor.c_nulls))
+        plan.Factor.components;
+    cp_free = plan.Factor.free_nulls;
+    cp_all = plan.Factor.all_nulls
+  }
+
+(* [∏ᵢ |Suppᵢ| · k^f]: each component is swept on its own space. *)
+let supp_count_compiled ?jobs ?guard ?cache cp ~k =
+  List.fold_left
+    (fun acc (db, sentence, nulls) ->
+      B.mul acc
+        (count_satisfying ?jobs ?guard ?cache ~db ~sentence ~nulls ~k ()))
+    (Enumerate.count ~nulls:cp.cp_free ~k)
+    cp.cp_parts
+
+(* µ^k = |Supp^k| / k^m, and 0 on the empty space (k = 0 with m > 0)
+   — one quotient for every plan, so a factorized series is the
+   monolithic one by construction, k = 0 included. *)
+let mu_k_compiled ?jobs ?guard ?cache cp ~k =
+  let total = Enumerate.count ~nulls:cp.cp_all ~k in
+  let count = supp_count_compiled ?jobs ?guard ?cache cp ~k in
+  if B.is_zero total then Rat.zero else Rat.make count total
+
+let supp_count_plan ?jobs ?guard ?cache inst plan ~k =
+  supp_count_compiled ?jobs ?guard ?cache (compile_plan ?cache inst plan) ~k
+
+let mu_k_plan ?jobs ?guard ?cache inst plan ~k =
+  mu_k_compiled ?jobs ?guard ?cache (compile_plan ?cache inst plan) ~k
+
+let mu_k_series_plan ?jobs ?guard ?cache inst plan ~ks =
+  let cp = compile_plan ?cache inst plan in
+  List.map (fun k -> (k, mu_k_compiled ?jobs ?guard ?cache cp ~k)) ks
+
+let supp_count_series_plan ?jobs ?guard ?cache inst plan ~ks =
+  let cp = compile_plan ?cache inst plan in
+  List.map (fun k -> (k, supp_count_compiled ?jobs ?guard ?cache cp ~k)) ks
+
+(* The monolithic sweep over V^k(D) of Q(ā). *)
+let whole_plan inst q tuple =
   if Tuple.arity tuple <> Query.arity q then
     invalid_arg "Support.in_support: arity mismatch";
-  let nulls = all_nulls inst tuple in
-  let sentence = Query.instantiate q tuple in
-  let db = kernel_db ?cache inst in
-  count_satisfying ?jobs ?guard ?cache ~db ~sentence ~nulls ~k ()
+  Factor.whole inst (Query.instantiate q tuple) ~nulls:(all_nulls inst tuple)
+
+let supp_count ?jobs ?guard ?cache inst q tuple ~k =
+  supp_count_plan ?jobs ?guard ?cache inst (whole_plan inst q tuple) ~k
 
 let mu_k ?jobs ?guard ?cache inst q tuple ~k =
-  let nulls = all_nulls inst tuple in
-  let total = Enumerate.count ~nulls ~k in
-  if B.is_zero total then Rat.zero
-  else Rat.make (supp_count ?jobs ?guard ?cache inst q tuple ~k) total
+  mu_k_plan ?jobs ?guard ?cache inst (whole_plan inst q tuple) ~k
 
 let mu_k_boolean ?jobs ?guard ?cache inst q ~k =
   if Query.arity q <> 0 then invalid_arg "Support.mu_k_boolean: query not Boolean"
   else mu_k ?jobs ?guard ?cache inst q Tuple.empty ~k
 
 let mu_k_series ?jobs ?guard ?cache inst q tuple ~ks =
-  List.map (fun k -> (k, mu_k ?jobs ?guard ?cache inst q tuple ~k)) ks
-
-(* ------------------------------------------------------------------ *)
-(* Factorized counting over a decomposition plan                       *)
-(* ------------------------------------------------------------------ *)
-
-(* One kernel db per component, restricted to the relations the
-   component mentions, hoisted so a µ^k series compiles each component
-   once. The shared verdict cache stays sound across components: keys
-   are (bindings, sentence) and each conjunct belongs to exactly one
-   component, so no two restricted kernels ever answer for the same
-   key. The unit-keyed kernel-db cache is for the monolithic instance
-   only and is deliberately not consulted here. *)
-type compiled_plan = {
-  cp_parts : (Kernel.db * Formula.t * int list) list;
-      (* restricted db, component sentence, component nulls *)
-  cp_free : int list;
-  cp_all : int list;
-}
-
-let compile_plan inst (plan : Factor.plan) =
-  { cp_parts =
-      List.map
-        (fun (c : Factor.component) ->
-          ( Kernel.db_of_instance
-              (Factor.restricted_instance inst c.Factor.c_relations),
-            c.Factor.c_sentence,
-            c.Factor.c_nulls ))
-        plan.Factor.components;
-    cp_free = plan.Factor.free_nulls;
-    cp_all = plan.Factor.all_nulls
-  }
-
-let supp_count_compiled ?jobs ?guard ?cache cp ~k =
-  let component_counts =
-    List.map
-      (fun (db, sentence, nulls) ->
-        count_satisfying ?jobs ?guard ?cache ~db ~sentence ~nulls ~k ())
-      cp.cp_parts
-  in
-  let product = List.fold_left B.mul B.one component_counts in
-  B.mul product (Enumerate.count ~nulls:cp.cp_free ~k)
-
-(* µ^k as the exact product of per-component measures; the free block
-   contributes count k^f over space k^f, i.e. factor 1. Each factor is
-   a reduced Rat, and the product of reduced rationals re-reduces, so
-   the result is bit-identical to the monolithic
-   supp_count / k^m quotient. *)
-let mu_k_compiled ?jobs ?guard ?cache cp ~k =
-  List.fold_left
-    (fun acc (db, sentence, nulls) ->
-      let count =
-        count_satisfying ?jobs ?guard ?cache ~db ~sentence ~nulls ~k ()
-      in
-      Rat.mul acc (Rat.make count (Enumerate.count ~nulls ~k)))
-    Rat.one cp.cp_parts
-
-let supp_count_plan ?jobs ?guard ?cache inst plan ~k =
-  supp_count_compiled ?jobs ?guard ?cache (compile_plan inst plan) ~k
-
-let mu_k_plan ?jobs ?guard ?cache inst plan ~k =
-  mu_k_compiled ?jobs ?guard ?cache (compile_plan inst plan) ~k
-
-let mu_k_series_plan ?jobs ?guard ?cache inst plan ~ks =
-  let cp = compile_plan inst plan in
-  List.map (fun k -> (k, mu_k_compiled ?jobs ?guard ?cache cp ~k)) ks
-
-let support_valuations ?cache inst q tuple ~k =
-  let nulls = all_nulls inst tuple in
-  let db = kernel_db ?cache inst in
-  let chk = checker ?cache db (Query.instantiate q tuple) in
-  List.rev
-    (Enumerate.fold_valuations ~nulls ~k
-       (fun acc v -> if check chk v then v :: acc else acc)
-       [])
+  mu_k_series_plan ?jobs ?guard ?cache inst (whole_plan inst q tuple) ~ks

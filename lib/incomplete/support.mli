@@ -74,13 +74,7 @@ type cache
     in-flight checker of the old state keeps writing under its own
     retired epoch, never poisoning post-update reads. *)
 
-type cache_stats = {
-  eval_verdicts : Exec.Cache.stats;
-  kernel_dbs : Exec.Cache.stats;
-}
-
 val create_cache : unit -> cache
-val cache_stats : cache -> cache_stats
 
 val kernel_db : ?cache:cache -> Relational.Instance.t -> Kernel.db
 (** The split + indexed form of the instance. With [?cache] it is
@@ -186,8 +180,9 @@ val count_satisfying :
     digit array through its rank range and feeds it to
     [Kernel.holds_digits] on the domain's memoized kernel. The verdict
     cache is bypassed (each key occurs exactly once per sweep);
-    [?cache] still short-cuts the overflow fallback and is accepted so
-    callers can thread one cache through mixed workloads. *)
+    [?cache] is accepted so callers can thread one cache through mixed
+    workloads.
+    @raise Arith.Bigint.Overflow if [k^|nulls|] exceeds [max_int]. *)
 
 val supp_count :
   ?jobs:int ->
@@ -211,7 +206,7 @@ val mu_k :
   Arith.Rat.t
 (** [µ^k(Q,D,ā)]. By convention 1 when [D] has no nulls and the tuple
     is an answer, 0 when it is not ([V^k(D)] is the singleton empty
-    valuation). *)
+    valuation); 0 when [k = 0] and [D] has nulls ([V^0(D)] is empty). *)
 
 val mu_k_boolean :
   ?jobs:int ->
@@ -230,41 +225,22 @@ val mu_k_series :
   ks:int list ->
   (int * Arith.Rat.t) list
 (** The convergence series [(k, µ^k)] — the paper's limit object,
-    sampled. Passing a shared [?cache] makes later, larger [k]s reuse
-    every verdict already computed for smaller [k]s. *)
+    sampled: {!mu_k_series_plan} on the one-component plan, so the
+    kernel db is looked up once for the whole series. *)
 
 (** {1 Factorized counting}
 
     The decomposition-aware path: a {!Factor.plan} (built and proven
     sound by the planner in [Analysis.Decomp]) names independent
     components of the support sentence; each is counted on its own
-    kernel restriction and the exact [Rat.t]/[Bigint.t] products are
-    combined. Bit-identical to the monolithic entry points above on
-    every sound plan — property-tested and enforced by the bench
-    identity gate. *)
-
-type compiled_plan
-(** Per-component restricted kernels, compiled once per plan. *)
-
-val compile_plan : Relational.Instance.t -> Factor.plan -> compiled_plan
-
-val supp_count_compiled :
-  ?jobs:int ->
-  ?guard:(unit -> unit) ->
-  ?cache:cache ->
-  compiled_plan ->
-  k:int ->
-  Arith.Bigint.t
-(** [∏ᵢ |Suppᵢ| · k^f] — equals the monolithic [|Supp^k|]. *)
-
-val mu_k_compiled :
-  ?jobs:int ->
-  ?guard:(unit -> unit) ->
-  ?cache:cache ->
-  compiled_plan ->
-  k:int ->
-  Arith.Rat.t
-(** [∏ᵢ µᵢ^k] — equals the monolithic [µ^k] (free nulls cancel). *)
+    kernel restriction and the exact [Bigint.t] counts are multiplied.
+    The monolithic entry points above are the one-component case
+    ({!Factor.whole}), so every [µ^k] here is [|Supp^k| / k^m] on the
+    same quotient — bit-identical to the monolithic sweep on every
+    sound plan, [k = 0] included (property-tested and enforced by the
+    bench identity gate). A one-component plan whose restriction would
+    drop no tuple runs on {!kernel_db}[ ?cache inst] rather than a
+    rebuilt copy. *)
 
 val supp_count_plan :
   ?jobs:int ->
@@ -295,11 +271,12 @@ val mu_k_series_plan :
 (** Like {!mu_k_series} but sweeping [Σᵢ k^{mᵢ}] valuations per [k]
     instead of [k^m]; component kernels are compiled once. *)
 
-val support_valuations :
+val supp_count_series_plan :
+  ?jobs:int ->
+  ?guard:(unit -> unit) ->
   ?cache:cache ->
   Relational.Instance.t ->
-  Logic.Query.t ->
-  Relational.Tuple.t ->
-  k:int ->
-  Valuation.t list
-(** The materialized [Supp^k(Q,D,ā)] (for small [k] and few nulls). *)
+  Factor.plan ->
+  ks:int list ->
+  (int * Arith.Bigint.t) list
+(** [(k, |Supp^k|)] for each [k], component kernels compiled once. *)

@@ -3,10 +3,10 @@ module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Query = Logic.Query
 module Parser = Logic.Parser
-module F = Logic.Formula
 module R = Arith.Rat
 module P = Arith.Poly
 module AE = Approx_measure.Estimator
+module Pipeline = Zeroone.Pipeline
 
 exception Deadline
 
@@ -67,66 +67,58 @@ let get_ks req =
       | exception _ ->
           Error (Wire.Bad_request, Printf.sprintf "invalid \"ks\" field %S" s))
 
-(* Refuse a µ^k sweep whose space does not fit in an int — same
-   refusal as the CLI's check_space_sizes, but as a typed response. *)
-let check_space ~nulls ks =
-  let rec go = function
-    | [] -> Ok ()
-    | k :: rest -> (
-        match Incomplete.Enumerate.space_size_exn ~nulls ~k with
-        | _ -> go rest
-        | exception Arith.Bigint.Overflow size ->
-            Error
-              ( Wire.Bad_request,
-                Printf.sprintf
-                  "k = %d over %d nulls gives a valuation space of %s \
-                   valuations; too large to enumerate"
-                  k (List.length nulls)
-                  (Arith.Bigint.to_string size) ))
-  in
-  go ks
+let series_string series =
+  String.concat ";"
+    (List.map (fun (k, v) -> Printf.sprintf "%d=%s" k (R.to_string v)) series)
 
-(* Factorized sweeps only enumerate per-component spaces k^mᵢ. *)
-let check_space_plan ~plan ks =
-  let rec go = function
-    | [] -> Ok ()
-    | k :: rest -> (
-        let rec comps i = function
-          | [] -> Ok ()
-          | c :: cs -> (
-              let cn = c.Incomplete.Factor.c_nulls in
-              match Incomplete.Enumerate.space_size_exn ~nulls:cn ~k with
-              | _ -> comps (i + 1) cs
-              | exception Arith.Bigint.Overflow size ->
-                  Error
-                    ( Wire.Bad_request,
-                      Printf.sprintf
-                        "k = %d gives component %d (%d nulls) a space of %s \
-                         valuations; too large to enumerate even factorized"
-                        k (i + 1) (List.length cn)
-                        (Arith.Bigint.to_string size) ))
-        in
-        match comps 1 plan.Incomplete.Factor.components with
-        | Ok () -> go rest
-        | Error e -> Error e)
-  in
-  go ks
+(* The exact pipeline's typed refusals, as wire errors. *)
+let pipeline_error = function
+  | Pipeline.Negative_k k ->
+      (Wire.Bad_request, Printf.sprintf "\"ks\" entries must be >= 0, got %d" k)
+  | Pipeline.Space_too_large { k; nulls; size } ->
+      ( Wire.Bad_request,
+        Printf.sprintf
+          "k = %d over %d nulls gives a valuation space of %s valuations; too \
+           large to enumerate"
+          k nulls
+          (Arith.Bigint.to_string size) )
+  | Pipeline.Component_too_large { k; component; nulls; size; _ } ->
+      ( Wire.Bad_request,
+        Printf.sprintf
+          "k = %d gives component %d (%d nulls) a space of %s valuations; too \
+           large to enumerate even factorized"
+          k component nulls
+          (Arith.Bigint.to_string size) )
 
-(* The CLI's gating, verbatim: the factorized series only replaces the
-   monolithic sweep on a genuine [Decomposable] verdict (≥ 2 parts) —
-   the engines agree bit-for-bit, so the wire payload is unchanged
-   except for the extra decomp fields. *)
-let decomp_certificate inst sentence ~extra_nulls ks =
-  let kc = List.fold_left max 1 ks in
-  let d = Analysis.Decomp.analyze ~k:kc ~extra_nulls inst sentence in
-  match (d.Analysis.Decomp.verdict, Analysis.Decomp.plan d) with
-  | Analysis.Decomp.Decomposable, Some p -> Some (d, p)
-  | _ -> None
-
-let decomp_fields d =
-  [ ("decomp_parts", Wire.I (Analysis.Decomp.parts d));
-    ("decomp_sizes", Wire.S (Analysis.Decomp.sizes_string d))
-  ]
+(* The exact µ^k series of [target] when the request names ks, with
+   the decomposition fields when the factorized route answered — the
+   engines agree bit for bit, so only those fields tell the routes
+   apart. *)
+let series_fields ?jobs ?guard ~cache inst target req =
+  let* ks = get_ks req in
+  match ks with
+  | None -> Ok []
+  | Some ks ->
+      let pipeline r = Result.map_error pipeline_error r in
+      let* route = pipeline (Pipeline.route inst target ~ks) in
+      let* series =
+        pipeline (Pipeline.series ?jobs ?guard ~cache inst target route ~ks)
+      in
+      let decomp =
+        match route with
+        | Pipeline.Monolithic -> []
+        | Pipeline.Factorized [ d ] ->
+            [ ("decomp_parts", Wire.I (Analysis.Decomp.parts d));
+              ("decomp_sizes", Wire.S (Analysis.Decomp.sizes_string d))
+            ]
+        | Pipeline.Factorized ds ->
+            [ ( "decomp_parts",
+                Wire.I
+                  (List.fold_left (fun n d -> n + Analysis.Decomp.parts d) 0 ds)
+              )
+            ]
+      in
+      Ok (("series", Wire.S (series_string series)) :: decomp)
 
 (* The static-analysis gate. Unlike the CLI (which prints warnings and
    only aborts under --strict), the server always refuses queries with
@@ -157,10 +149,6 @@ let rel_string rel =
   String.concat "; "
     (List.sort String.compare
        (List.map Tuple.to_string (Relation.to_list rel)))
-
-let series_string series =
-  String.concat ";"
-    (List.map (fun (k, v) -> Printf.sprintf "%d=%s" k (R.to_string v)) series)
 
 (* ------------------------------------------------------------------ *)
 (* Endpoints                                                           *)
@@ -199,46 +187,18 @@ let run_measure ~sessions ?jobs ?guard req =
   let* () = well_formed entry.Session.schema q in
   let* tuple = get_tuple req q in
   let* () = precheck ~tuple entry.Session.schema inst q in
-  let sp = Zeroone.Support_poly.of_query inst q tuple in
-  let mu = Zeroone.Measure.mu_symbolic inst q tuple in
-  let verdict =
-    Format.asprintf "%a" Zeroone.Measure.pp_verdict
-      (Zeroone.Measure.mu inst q tuple)
-  in
-  let* ks = get_ks req in
+  let m = Pipeline.measure ?jobs inst q tuple in
   let* series =
-    match ks with
-    | None -> Ok []
-    | Some ks ->
-        let nulls =
-          List.sort_uniq Int.compare (Instance.nulls inst @ Tuple.nulls tuple)
-        in
-        match
-          decomp_certificate inst
-            (Logic.Query.instantiate q tuple)
-            ~extra_nulls:(Tuple.nulls tuple) ks
-        with
-        | Some (d, plan) ->
-            let* () = check_space_plan ~plan ks in
-            let series =
-              Incomplete.Support.mu_k_series_plan ?jobs ?guard ~cache inst plan
-                ~ks
-            in
-            Ok
-              (("series", Wire.S (series_string series)) :: decomp_fields d)
-        | None ->
-            let* () = check_space ~nulls ks in
-            let series =
-              Incomplete.Support.mu_k_series ?jobs ?guard ~cache inst q tuple
-                ~ks
-            in
-            Ok [ ("series", Wire.S (series_string series)) ]
+    series_fields ?jobs ?guard ~cache inst (Pipeline.Answer (q, tuple)) req
   in
   Ok
-    ([ ("supp_poly", Wire.S (P.to_string sp));
+    ([ ("supp_poly", Wire.S (P.to_string m.Pipeline.supp_poly));
        ("nulls", Wire.I (Instance.null_count inst));
-       ("mu", Wire.S (R.to_string mu));
-       ("verdict", Wire.S verdict)
+       ("mu", Wire.S (R.to_string m.Pipeline.mu));
+       ( "verdict",
+         Wire.S
+           (Format.asprintf "%a" Zeroone.Measure.pp_verdict
+              m.Pipeline.verdict) )
      ]
     @ series)
 
@@ -270,60 +230,10 @@ let run_conditional ~sessions ?jobs ?guard req =
         ]
     | Zeroone.Conditional.Symbolic -> []
   in
-  let* ks = get_ks req in
   let* series =
-    match ks with
-    | None -> Ok []
-    | Some ks ->
-        let nulls =
-          List.sort_uniq Int.compare
-            (Instance.nulls inst @ Tuple.nulls tuple @ F.nulls sigma)
-        in
-        let kc = List.fold_left max 1 ks in
-        let dnum, dden =
-          Zeroone.Conditional.cond_decomp ~k:kc ~sigma inst q tuple
-        in
-        let decomposable d =
-          match d.Analysis.Decomp.verdict with
-          | Analysis.Decomp.Decomposable -> true
-          | _ -> false
-        in
-        let plans =
-          if decomposable dnum || decomposable dden then
-            match (Analysis.Decomp.plan dnum, Analysis.Decomp.plan dden) with
-            | Some np, Some dp -> Some (np, dp)
-            | _ -> None
-          else None
-        in
-        match plans with
-        | Some (num_plan, den_plan) ->
-            let* () = check_space_plan ~plan:num_plan ks in
-            let* () = check_space_plan ~plan:den_plan ks in
-            let series =
-              List.map
-                (fun k ->
-                  ( k,
-                    Zeroone.Conditional.mu_cond_k_plans ?jobs ?guard ~cache
-                      ~num_plan ~den_plan inst ~k ))
-                ks
-            in
-            Ok
-              [ ("series", Wire.S (series_string series));
-                ( "decomp_parts",
-                  Wire.I (Analysis.Decomp.parts dnum + Analysis.Decomp.parts dden)
-                )
-              ]
-        | None ->
-            let* () = check_space ~nulls ks in
-            let series =
-              List.map
-                (fun k ->
-                  ( k,
-                    Zeroone.Conditional.mu_cond_k ?jobs ?guard ~cache ~sigma
-                      inst q tuple ~k ))
-                ks
-            in
-            Ok [ ("series", Wire.S (series_string series)) ]
+    series_fields ?jobs ?guard ~cache inst
+      (Pipeline.Given (sigma, q, tuple))
+      req
   in
   Ok
     ([ ("numerator", Wire.S (P.to_string report.Zeroone.Conditional.numerator));

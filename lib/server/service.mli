@@ -2,7 +2,8 @@
 
     [handle] maps one parsed {!Wire.request} to a response payload,
     running the same engine entry points as the CLI subcommands —
-    [certain], [measure], [conditional], [analyze] — against a shared
+    [certain], [measure], [conditional], [analyze]; the exact path of
+    [measure] and [conditional] is {!Zeroone.Pipeline} — against a shared
     {!Session} store; the [update] op mutates a session in place by
     one tuple ({!Session.update}), with the kernel db, chase memos and
     verdict cache maintained incrementally rather than rebuilt. It is deliberately transport-free: the daemon

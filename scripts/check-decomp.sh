@@ -9,7 +9,8 @@
 #   - every decomp-engine row of that kernel reports
 #     speedup_vs_baseline ≥ 5 over the monolithic exact engine;
 #   - the CLI's factorized exact series is byte-identical to
-#     --no-decomp on the benched two-block workload;
+#     --no-decomp on the benched two-block workload, k = 0 (the empty
+#     valuation space) included;
 #   - `certainty analyze --json` on the same workload emits the
 #     decomposition certificate (ANL401) and the weak-acyclicity
 #     verdict; the JSON is kept as a CI artifact
@@ -66,9 +67,9 @@ TMP="${TMPDIR:-/tmp}/certainty-decomp-$$"
 mkdir -p "$TMP"
 trap 'rm -rf "$TMP"' EXIT
 "${CERTAINTY[@]}" measure -s "$SCHEMA" -d "$DB" -q "$QUERY" -t "()" \
-  --ks 2,3,5 > "$TMP/decomp.out"
+  --ks 0,2,3,5 > "$TMP/decomp.out"
 "${CERTAINTY[@]}" measure -s "$SCHEMA" -d "$DB" -q "$QUERY" -t "()" \
-  --ks 2,3,5 --no-decomp > "$TMP/mono.out"
+  --ks 0,2,3,5 --no-decomp > "$TMP/mono.out"
 grep -q "ANL401" "$TMP/decomp.out" || {
   echo "FATAL: factorized measure did not report ANL401" >&2
   cat "$TMP/decomp.out" >&2

@@ -192,12 +192,14 @@ let test_randomized_count_identity () =
                 (Printf.sprintf "seed %d k %d count" seed k)
                 (B.to_string mono)
                 (B.to_string (Support.supp_count_plan inst plan ~k));
+              (* µ^k = |Supp^k| / k^m, and 0 on the empty space V^0. *)
               let total = Enumerate.count ~nulls:plan.Factor.all_nulls ~k in
               check string_t
                 (Printf.sprintf "seed %d k %d mu" seed k)
-                (R.to_string (R.make mono total))
+                (R.to_string
+                   (if B.is_zero total then R.zero else R.make mono total))
                 (R.to_string (Support.mu_k_plan inst plan ~k)))
-            [ 2; 3; 5 ])
+            [ 0; 2; 3; 5 ])
     seeds;
   (* the generator must actually exercise the factorized path *)
   check bool_t "decomposed often enough" true (!decomposed > 20)
@@ -248,7 +250,7 @@ let test_randomized_conditional_identity () =
                 (R.to_string
                    (Zeroone.Conditional.mu_cond_k_plans ~num_plan ~den_plan
                       inst ~k)))
-            [ 2; 3 ]
+            [ 0; 2; 3 ]
       | _ -> ())
     (List.filteri (fun i _ -> i < 150) seeds)
 
