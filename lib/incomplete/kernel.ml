@@ -89,6 +89,18 @@ let db_insert db ~name ~tuple =
 let db_delete db ~name ~tuple =
   db_update ~index_op:Index.remove ~split_op:Split.remove db ~name ~tuple
 
+let rec rows_exist rows f i =
+  i < Array.length rows
+  && (f (Tuple.unsafe_of_array (Array.unsafe_get rows i))
+     || rows_exist rows f (i + 1))
+
+let rec rows_exist_with rows column v f i =
+  i < Array.length rows
+  && ((let row = Array.unsafe_get rows i in
+       Value.equal (Array.unsafe_get row column) v
+       && f (Tuple.unsafe_of_array row))
+     || rows_exist_with rows column v f (i + 1))
+
 type t = {
   db : db;
   sentence : Formula.t;
@@ -196,11 +208,31 @@ let compile db sentence =
                go 0
              end
   in
+  (* Guards scan the ground index, then the completed null rows (a
+     null row equal to a ground row is visited twice, which no
+     existential can tell apart). *)
+  let src_scan r arity =
+    match List.assoc_opt r db.indexes with
+    | Some idx when Index.arity idx = arity ->
+        let rows =
+          Option.value ~default:[||] (List.assoc_opt r rows_by_name)
+        in
+        Some
+          {
+            Compiled.scan_rows = Index.cardinal idx + Array.length rows;
+            scan_all = (fun f -> Index.exists idx f || rows_exist rows f 0);
+            scan_with =
+              (fun column v f ->
+                Index.exists_posting idx ~column v f
+                || rows_exist_with rows column v f 0);
+          }
+    | _ -> None
+  in
   let src_null n =
     let p = pos_of n in
     fun () -> Array.unsafe_get null_img p
   in
-  let compiled = Compiled.of_source { src_mem; src_null } sentence in
+  let compiled = Compiled.of_source { src_mem; src_scan; src_null } sentence in
   let base_codes =
     Array.of_list
       (List.sort_uniq Int.compare
@@ -252,9 +284,10 @@ let refresh_null t ki img =
    distinct fresh constants among the null images. The suffix is a
    function of the whole image set (deduplication), so it is recomputed
    wholesale whenever any image changed — it is O(m · suffix) on a
-   handful of values, dwarfed by the compiled run. *)
+   handful of values, dwarfed by the compiled run. A program whose
+   quantified variables are all bound from rows never reads it. *)
 let refresh_domain t =
-  if Compiled.has_quantifier t.compiled then begin
+  if Compiled.uses_domain t.compiled then begin
     let m = Array.length t.knulls in
     let n = ref t.base_dom_n in
     for i = 0 to m - 1 do

@@ -55,7 +55,9 @@ let arity t = t.b.arity
 let cardinal t = t.card
 let overlay t = List.length t.extra + List.length t.gone
 
-let in_list tuple l = List.exists (fun u -> Tuple.equal u tuple) l
+let rec in_list tuple = function
+  | [] -> false
+  | u :: l -> Tuple.equal u tuple || in_list tuple l
 
 let mem t tuple =
   if Hashtbl.mem t.b.members tuple then not (in_list tuple t.gone)
@@ -65,16 +67,55 @@ let mem_values t values =
   Array.length values = t.b.arity
   && mem t (Tuple.unsafe_of_array values)
 
+(* The scans are top-level recursions over explicit arguments, so a
+   call allocates nothing: the kernels run one per guarded quantifier
+   step of every valuation. Base rows come first in row order, then
+   the added tuples oldest first ([extra] is newest first, hence the
+   test on the way back up). *)
+let live t tup = t.gone = [] || not (in_list tup t.gone)
+
+let rec exists_from t f row =
+  row < Array.length t.b.tuples
+  && ((let tup = Array.unsafe_get t.b.tuples row in live t tup && f tup)
+     || exists_from t f (row + 1))
+
+let rec exists_rows t f = function
+  | [] -> false
+  | row :: rest ->
+      (let tup = Array.unsafe_get t.b.tuples row in live t tup && f tup)
+      || exists_rows t f rest
+
+let rec exists_extra f = function
+  | [] -> false
+  | tup :: rest -> exists_extra f rest || f tup
+
+let rec exists_extra_with f column v = function
+  | [] -> false
+  | tup :: rest ->
+      exists_extra_with f column v rest
+      || (Value.equal (Tuple.get tup column) v && f tup)
+
+let exists t f = exists_from t f 0 || exists_extra f t.extra
+
+let check_column t column name =
+  if column < 0 || column >= t.b.arity then
+    invalid_arg (name ^ ": column out of range")
+
+let exists_posting t ~column v f =
+  check_column t column "Index.exists_posting";
+  (match Hashtbl.find t.b.columns.(column) v with
+   | rows -> exists_rows t f rows
+   | exception Not_found -> false)
+  || exists_extra_with f column v t.extra
+
+let collect scan =
+  let acc = ref [] in
+  ignore (scan (fun tup -> acc := tup :: !acc; false));
+  List.rev !acc
+
 (* Live tuples in deterministic order: surviving base rows in row
    order, then the added tuples oldest first. *)
-let to_list t =
-  let from_base =
-    if t.gone = [] then Array.to_list t.b.tuples
-    else
-      Array.to_list t.b.tuples
-      |> List.filter (fun tup -> not (in_list tup t.gone))
-  in
-  from_base @ List.rev t.extra
+let to_list t = collect (exists t)
 
 (* Compaction: fold the overlay into a fresh base, restoring the
    canonical Tuple.compare order of [of_relation]. *)
@@ -107,63 +148,30 @@ let remove t tuple =
     }
   else maybe_compact { t with gone = tuple :: t.gone; card = t.card - 1 }
 
-let check_column t column name =
-  if column < 0 || column >= t.b.arity then
-    invalid_arg (name ^ ": column out of range")
-
-let base_postings b ~column v =
-  Option.value ~default:[] (Hashtbl.find_opt b.columns.(column) v)
-
-let postings t ~column v =
-  check_column t column "Index.postings";
-  let from_base =
-    List.filter_map
-      (fun row ->
-        let tup = t.b.tuples.(row) in
-        if t.gone <> [] && in_list tup t.gone then None else Some tup)
-      (base_postings t.b ~column v)
-  in
-  from_base
-  @ List.filter
-      (fun tup -> Value.equal (Tuple.get tup column) v)
-      (List.rev t.extra)
+let postings t ~column v = collect (exists_posting t ~column v)
 
 let column_cardinal t ~column v = List.length (postings t ~column v)
 
 let select t bindings =
-  List.iter
-    (fun (col, _) -> check_column t col "Index.select")
-    bindings;
+  List.iter (fun (col, _) -> check_column t col "Index.select") bindings;
   match bindings with
   | [] -> to_list t
-  | (c0, v0) :: rest ->
-      (* Start from the shortest base posting list, then filter the
-         other bound columns by direct access; the base-length
-         comparison is a heuristic, so the (small) overlay is ignored
-         when picking the start column. *)
-      let posting_len (c, v) = List.length (base_postings t.b ~column:c v) in
-      let start, others =
+  | first :: rest ->
+      (* Walk the shortest base posting list and filter the other bound
+         columns by direct access; the (small) overlay is ignored when
+         picking the column. *)
+      let posting_len (c, v) =
+        match Hashtbl.find t.b.columns.(c) v with
+        | rows -> List.length rows
+        | exception Not_found -> 0
+      in
+      let bc, bv =
         List.fold_left
-          (fun (best, others) cand ->
-            if posting_len cand < posting_len best then (cand, best :: others)
-            else (best, cand :: others))
-          ((c0, v0), []) rest
+          (fun best cand ->
+            if posting_len cand < posting_len best then cand else best)
+          first rest
       in
-      let bc, bv = start in
-      let matches tup =
-        List.for_all (fun (c, v) -> Value.equal (Tuple.get tup c) v) others
-      in
-      let from_base =
-        List.filter_map
-          (fun row ->
-            let tup = t.b.tuples.(row) in
-            if matches tup && not (t.gone <> [] && in_list tup t.gone) then
-              Some tup
-            else None)
-          (base_postings t.b ~column:bc bv)
-      in
-      from_base
-      @ List.filter
-          (fun tup ->
-            Value.equal (Tuple.get tup bc) bv && matches tup)
-          (List.rev t.extra)
+      List.filter
+        (fun tup ->
+          List.for_all (fun (c, v) -> Value.equal (Tuple.get tup c) v) bindings)
+        (postings t ~column:bc bv)

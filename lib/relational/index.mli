@@ -46,6 +46,24 @@ val mem_values : t -> Value.t array -> bool
 (** Membership probed directly with a value array, avoiding the
     {!Tuple.of_array} copy. The array is only read. *)
 
+(** {1 Scans}
+
+    The row iterators of the compiled kernels' guarded quantifiers.
+    They walk the live tuples in place (base rows in {!Relation.to_list}
+    order, then the tuples added since the base in insertion order,
+    skipping removed ones), stop at the first tuple the callback
+    accepts, and allocate nothing themselves. *)
+
+val exists : t -> (Tuple.t -> bool) -> bool
+(** Whether the callback accepts some live tuple. *)
+
+val exists_posting : t -> column:int -> Value.t -> (Tuple.t -> bool) -> bool
+(** Whether the callback accepts some live tuple whose [column] holds
+    the value — the column's posting list, never the whole relation.
+    @raise Invalid_argument on a bad column. *)
+
+(** {1 Selections} *)
+
 val postings : t -> column:int -> Value.t -> Tuple.t list
 (** Live tuples whose [column] holds the value: base tuples in
     {!Relation.to_list} row order, then tuples added since the base in

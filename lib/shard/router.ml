@@ -74,16 +74,21 @@ type shard = {
   mutable s_draining : bool;
 }
 
-(* Per-session replication state, created lazily on the first accepted
-   [update]. The ordered log of accepted update lines is the session's
-   write history: any shard (replica, remapped primary, restarted
-   primary) is brought to the present by replaying the suffix it has
-   not seen, tracked per (shard, generation). Read-only sessions never
-   allocate one of these — backends materialize them from the request
-   text on demand. *)
+(* Per-session replication state, created lazily on the first
+   [update]. The ordered log of accepted updates is the session's write
+   history: any shard (replica, remapped primary, restarted primary) is
+   brought to the present by replaying the suffix it has not seen,
+   tracked per (shard, generation). An update is logged as its request
+   fields without [schema] and [db], which every update of the session
+   shares and the session keeps once: the [db] text dwarfs the rest.
+   Read-only sessions never allocate one of these — backends
+   materialize them from the request text on demand. *)
 type session = {
   sn_lock : Mutex.t;
-  mutable sn_log : string list;  (* accepted update lines, newest first *)
+  sn_schema : string;
+  sn_db : string;
+  mutable sn_log : (string * Wire.value) list list;
+      (* accepted updates' other fields, newest first *)
   mutable sn_len : int;
   mutable sn_applied : ((int * int) * int) list;
       (* (shard index, shard generation) -> prefix length applied *)
@@ -256,6 +261,16 @@ let talk conn line =
 (* Session catch-up (write forwarding and replay)                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The request line of a logged update. *)
+let update_line sess fields =
+  Wire.obj
+    (("schema", Wire.S sess.sn_schema)
+    :: ("db", Wire.S sess.sn_db)
+    :: List.map
+         (function
+           | k, Wire.Str v -> (k, Wire.S v) | k, Wire.Int n -> (k, Wire.I n))
+         fields)
+
 (* Bring [sh] up to date with the session's accepted-update log over
    [conn]. Caller holds [sn_lock]. Replay is idempotent per shard
    generation: the applied prefix length is tracked per (shard,
@@ -272,7 +287,10 @@ let ensure_synced sess sh conn =
     let to_replay = List.rev (firstn (sess.sn_len - have) sess.sn_log) in
     let ok =
       List.for_all
-        (fun l -> match talk conn l with Some r -> resp_ok r | None -> false)
+        (fun fields ->
+          match talk conn (update_line sess fields) with
+          | Some r -> resp_ok r
+          | None -> false)
         to_replay
     in
     if ok then
@@ -284,13 +302,15 @@ let ensure_synced sess sh conn =
 let find_session t key =
   Mutex.protect t.sess_lock (fun () -> Hashtbl.find_opt t.sessions key)
 
-let get_session t key =
+let get_session t key ~schema ~db =
   Mutex.protect t.sess_lock (fun () ->
       match Hashtbl.find_opt t.sessions key with
       | Some s -> s
       | None ->
           let s =
             { sn_lock = Mutex.create ();
+              sn_schema = schema;
+              sn_db = db;
               sn_log = [];
               sn_len = 0;
               sn_applied = []
@@ -367,8 +387,8 @@ let route_read t ~id ~key line =
    ordered and every replica applies the same accepted prefix in the
    same order. Replicas missed here (down, restarting) are caught up
    lazily by the next read or write that touches them. *)
-let route_update t ~id ~key line =
-  let sess = get_session t key in
+let route_update t ~id ~key ~schema ~db req line =
+  let sess = get_session t key ~schema ~db in
   Mutex.protect sess.sn_lock (fun () ->
       match candidates t key with
       | [] -> unavailable ~id "no live shard for session"
@@ -396,7 +416,11 @@ let route_update t ~id ~key line =
                       ("router.shard." ^ sh.s_name)
                       (now_ns () - t0);
                     if resp_ok resp then begin
-                      sess.sn_log <- line :: sess.sn_log;
+                      sess.sn_log <-
+                        List.filter
+                          (fun (k, _) -> k <> "schema" && k <> "db")
+                          req.Wire.fields
+                        :: sess.sn_log;
                       sess.sn_len <- sess.sn_len + 1;
                       let gen =
                         Mutex.protect sh.s_lock (fun () -> sh.s_generation)
@@ -498,7 +522,8 @@ let handle_line t cc line =
               ("id", match id with Some i -> i | None -> "")
             ]
           (fun () ->
-            if req.Wire.op = "update" then route_update t ~id ~key line
+            if req.Wire.op = "update" then
+              route_update t ~id ~key ~schema ~db req line
             else route_read t ~id ~key line)
       in
       Metrics.observe_span "router.request" (now_ns () - t0);

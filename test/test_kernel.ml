@@ -573,6 +573,212 @@ let test_dls_backs_domain_kernel () =
     (Support.domain_kernel db2 s == k1)
 
 (* ------------------------------------------------------------------ *)
+(* Guarded quantifier blocks: fixed cases                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Quantified variables are bound from matching rows, so these cases
+   target what a join plan can get wrong: repeated variables, bound
+   guard positions, equations that bind, empty and unknown relations,
+   and scans over an updated index. Each sentence is checked against
+   the naive reference under every valuation into four constants, and
+   through [Compiled.compile] against [Eval]. *)
+
+let guard_schema = Schema.make [ ("R", 2); ("S", 1); ("E", 1); ("P", 1) ]
+let x = F.Var "x" and y = F.Var "y" and z = F.Var "z"
+let gc n = F.Val (Value.const n)
+let gr a b = F.Atom ("R", [ a; b ])
+let gs a = F.Atom ("S", [ a ])
+let ge a = F.Atom ("E", [ a ])
+
+let guard_instance =
+  let c = Value.const and n = Value.null in
+  Instance.of_rows guard_schema
+    [ ("R",
+       [ [ c 1; c 1 ]; [ c 1; c 2 ]; [ c 2; c 3 ]; [ n 1; n 1 ]; [ n 2; c 2 ];
+         [ c 3; n 1 ]
+       ]);
+      ("S", [ [ c 2 ]; [ n 2 ] ])
+    ]
+
+(* A guard without a bound position scans only when the relation has
+   no more rows than the domain has values for its variables, so the
+   cases also run with four extra constants in the domain (relation P):
+   R(x,x) then scans where on [guard_instance] it loops. *)
+let widened inst =
+  List.fold_left
+    (fun inst c ->
+      Instance.add_tuple "P" (Tuple.of_list [ Value.const c ]) inst)
+    inst
+    (List.init 4 (fun i -> 10 + i))
+
+let agree_on db name s =
+  let inst = Kernel.instance db in
+  let nulls = List.sort_uniq Int.compare (Instance.nulls inst @ F.nulls s) in
+  let kern = Kernel.compile db s in
+  Incomplete.Enumerate.fold_valuations ~nulls ~k:4
+    (fun () v ->
+      check bool_t
+        (Printf.sprintf "%s: kernel = naive under %s" name
+           (Valuation.to_string v))
+        (Support.sentence_in_support_naive inst s v)
+        (Kernel.holds kern v))
+    ();
+  check bool_t (name ^ ": compiled = eval")
+    (Eval.sentence_holds inst s)
+    (Compiled.sentence_holds (Compiled.compile inst s))
+
+let all_valuations_agree cases =
+  List.iter
+    (fun (name, s) ->
+      agree_on (Kernel.db_of_instance guard_instance) name s;
+      agree_on (Kernel.db_of_instance (widened guard_instance))
+        (name ^ ", wide domain") s)
+    cases
+
+let test_guard_repeated_variable () =
+  all_valuations_agree
+    [ ("R(x,x)", F.exists [ "x" ] (gr x x));
+      ("R(x,x) & S(x)", F.exists [ "x" ] (F.And (gr x x, gs x)));
+      ( "R(x,y) & R(y,x) & x != y",
+        F.exists [ "x"; "y" ] (F.conj [ gr x y; gr y x; F.neq x y ]) );
+      ( "forall x. R(x,x) -> S(x)",
+        F.forall [ "x" ] (F.Implies (gr x x, gs x)) );
+      (* the repeated binder also binds a later atom *)
+      ( "R(x,x) & R(x,y) & !S(y)",
+        F.exists [ "x"; "y" ] (F.conj [ gr x x; gr x y; F.Not (gs y) ]) )
+    ]
+
+let test_guard_bound_positions () =
+  all_valuations_agree
+    [ ("R(1,y)", F.exists [ "y" ] (gr (gc 1) y));
+      ("R(y,~2)", F.exists [ "y" ] (gr y (F.Val (Value.null 2))));
+      ( "S(x) & exists y. R(x,y) & R(y,3)",
+        F.exists [ "x" ]
+          (F.And (gs x, F.exists [ "y" ] (F.And (gr x y, gr y (gc 3))))) );
+      ( "forall x. S(x) -> exists y. R(y,x)",
+        F.forall [ "x" ] (F.Implies (gs x, F.exists [ "y" ] (gr y x))) );
+      (* an equation binds y from x, or from a constant *)
+      ( "R(x,z) & y = x & R(y,y)",
+        F.exists [ "x"; "y"; "z" ] (F.conj [ gr x z; F.Eq (y, x); gr y y ]) );
+      ( "y = 4 & !S(y)",
+        F.exists [ "y" ] (F.And (F.Eq (gc 4, y), F.Not (gs y))) );
+      (* a binder no conjunct mentions: only a nonempty domain *)
+      ("exists x. exists y. S(y)", F.exists [ "x"; "y" ] (gs y));
+      (* shadowing inside one block *)
+      ("exists x. exists x. R(x,1)", F.exists [ "x"; "x" ] (gr x (gc 1)))
+    ]
+
+let test_guard_dependencies () =
+  let module D = Constraints.Dependency in
+  let sch = Schema.make [ ("R", 2); ("U", 1); ("T", 3) ] in
+  let c = Value.const and n = Value.null in
+  let inst =
+    Instance.of_rows sch
+      [ ("R", [ [ c 1; n 1 ]; [ c 1; c 2 ]; [ n 2; c 3 ]; [ c 4; c 3 ] ]);
+        ("U", [ [ c 1 ]; [ n 3 ]; [ c 2 ] ]);
+        ("T", [ [ c 1; c 2; n 1 ]; [ c 1; n 2; c 3 ]; [ n 3; c 2; c 2 ] ])
+      ]
+  in
+  let fd r lhs rhs = D.Fd { fd_relation = r; fd_lhs = lhs; fd_rhs = rhs } in
+  let ind src sc dst dc =
+    D.Ind
+      { ind_src = src; ind_src_cols = sc; ind_dst = dst; ind_dst_cols = dc }
+  in
+  (* Every relation has fewer rows than the domain has pairs, so the
+     first atom of each dependency is scanned without widening (which
+     would make the naive reference slow on the six-variable key). *)
+  List.iter
+    (fun (name, deps) ->
+      agree_on (Kernel.db_of_instance inst) name (D.set_to_formula sch deps))
+    [ ("fd R: a -> b", [ fd "R" [ 0 ] 1 ]);
+      ("fd R: b -> a", [ fd "R" [ 1 ] 0 ]);
+      ("key T[a,b]", [ D.Key { key_relation = "T"; key_cols = [ 0; 1 ] } ]);
+      ("ind R[a] <= U[u]", [ ind "R" [ 0 ] "U" [ 0 ] ]);
+      ("fd + ind", [ fd "T" [ 0 ] 2; ind "T" [ 1 ] "R" [ 1 ] ])
+    ]
+
+let test_guard_empty_relation () =
+  all_valuations_agree
+    [ ("E(x)", F.exists [ "x" ] (ge x));
+      ("E(x) & R(x,x)", F.exists [ "x" ] (F.And (ge x, gr x x)));
+      ("forall x. E(x) -> False", F.forall [ "x" ] (F.Implies (ge x, F.False)));
+      ("forall x. !E(x) | S(x)", F.forall [ "x" ] (F.Or (F.Not (ge x), gs x)))
+    ]
+
+let test_guard_unknown_relation () =
+  let nope = F.Atom ("Nope", [ x ]) in
+  let v = Valuation.of_list [ (1, 1); (2, 2) ] in
+  let s = F.exists [ "x" ] (F.And (ge x, nope)) in
+  (* behind an empty guard the unknown atom is never reached *)
+  all_valuations_agree [ ("E(x) & Nope(x)", s) ];
+  let kern = Kernel.compile (Kernel.db_of_instance guard_instance) s in
+  check bool_t "unreached: false" false (Kernel.holds kern v);
+  (* behind a nonempty one it is reached, and raises like Eval *)
+  let s' = F.exists [ "x" ] (F.And (gs x, nope)) in
+  Alcotest.check_raises "eval raises" Not_found (fun () ->
+      ignore (Eval.sentence_holds guard_instance s'));
+  Alcotest.check_raises "compiled raises" Not_found (fun () ->
+      ignore (Compiled.sentence_holds (Compiled.compile guard_instance s')));
+  let kern' = Kernel.compile (Kernel.db_of_instance guard_instance) s' in
+  Alcotest.check_raises "kernel raises" Not_found (fun () ->
+      ignore (Kernel.holds kern' v))
+
+let test_guard_updated_index () =
+  let tup l = Tuple.of_list (List.map Value.const l) in
+  let updated inst =
+    List.fold_left
+      (fun db (op, name, t) ->
+        match op with
+        | `Ins -> Kernel.db_insert db ~name ~tuple:(tup t)
+        | `Del -> Kernel.db_delete db ~name ~tuple:(tup t))
+      (Kernel.db_of_instance inst)
+      [ (`Ins, "R", [ 4; 4 ]); (`Del, "R", [ 1; 1 ]); (`Ins, "R", [ 2; 1 ]);
+        (`Del, "R", [ 2; 3 ]); (`Ins, "S", [ 3 ]); (`Ins, "E", [ 4 ])
+      ]
+  in
+  List.iter
+    (fun (name, s) ->
+      agree_on (updated guard_instance) name s;
+      agree_on (updated (widened guard_instance)) (name ^ ", wide domain") s)
+    [ ("R(x,x)", F.exists [ "x" ] (gr x x));
+      ("R(2,y)", F.exists [ "y" ] (gr (gc 2) y));
+      ("R(x,3)", F.exists [ "x" ] (gr x (gc 3)));
+      ( "S(x) & R(x,y) & E(y)",
+        F.exists [ "x"; "y" ] (F.conj [ gs x; gr x y; ge y ]) );
+      ( "forall x y. R(x,y) -> S(x) | R(y,x)",
+        F.forall [ "x"; "y" ] (F.Implies (gr x y, F.Or (gs x, gr y x))) )
+    ]
+
+(* An equation binds a quantified variable only from a value known to
+   lie in the domain: a free variable's value or a null of the formula
+   may lie outside it, and then no domain element equals it. *)
+let test_guard_equation_outside_domain () =
+  let s = F.exists [ "y" ] (F.And (F.Eq (y, x), F.Not (gs y))) in
+  let t = Compiled.compile guard_instance s in
+  List.iter
+    (fun v ->
+      check bool_t
+        ("y = x, x := " ^ Value.to_string v)
+        (Eval.holds guard_instance [ ("x", v) ] s)
+        (Compiled.holds t [ ("x", v) ]))
+    [ Value.const 1; Value.const 2; Value.const 99; Value.null 9 ];
+  let s' = F.exists [ "y" ] (F.Eq (y, F.Val (Value.null 9))) in
+  check bool_t "y = ~9 with ~9 outside the domain"
+    (Eval.sentence_holds guard_instance s')
+    (Compiled.sentence_holds (Compiled.compile guard_instance s'))
+
+let test_guard_uses_domain () =
+  let uses s = Compiled.uses_domain (Compiled.compile guard_instance s) in
+  check bool_t "posting-list guard only" false
+    (uses (F.exists [ "y" ] (gr (gc 1) y)));
+  check bool_t "equation then posting-list guard" false
+    (uses (F.exists [ "x"; "y" ] (F.And (F.Eq (x, gc 1), gr x y))));
+  check bool_t "guard without a bound position" true
+    (uses (F.exists [ "x" ] (gr x x)));
+  check bool_t "unguarded variable" true
+    (uses (F.exists [ "x" ] (F.Not (gs x))))
+
+(* ------------------------------------------------------------------ *)
 (* Worked examples                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -710,6 +916,21 @@ let () =
             test_compiled_sentences;
           Alcotest.test_case "open formula rejected" `Quick
             test_compiled_open_formula_rejected
+        ] );
+      ( "guards",
+        [ Alcotest.test_case "repeated variable" `Quick
+            test_guard_repeated_variable;
+          Alcotest.test_case "constants and outer variables" `Quick
+            test_guard_bound_positions;
+          Alcotest.test_case "FD, key and ID sentences" `Quick
+            test_guard_dependencies;
+          Alcotest.test_case "empty relation" `Quick test_guard_empty_relation;
+          Alcotest.test_case "unknown relation" `Quick
+            test_guard_unknown_relation;
+          Alcotest.test_case "updated index" `Quick test_guard_updated_index;
+          Alcotest.test_case "equation outside the domain" `Quick
+            test_guard_equation_outside_domain;
+          Alcotest.test_case "domain reads" `Quick test_guard_uses_domain
         ] );
       ( "split",
         [ Alcotest.test_case "≡ Valuation.instance (randomized)" `Quick

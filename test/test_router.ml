@@ -189,11 +189,11 @@ let certain_line ~id tag =
       ("db", W.S (db tag)); ("query", W.S "Q(x) := R(x) & !S(x)")
     ]
 
-let update_line ~id tag =
+let update_line ?(row = 3) ~id tag =
   W.obj
     [ ("id", W.S id); ("op", W.S "update"); ("schema", W.S schema);
       ("db", W.S (db tag)); ("action", W.S "insert"); ("relation", W.S "R");
-      ("tuple", W.S (Printf.sprintf "('%s3')" tag))
+      ("tuple", W.S (Printf.sprintf "('%s%d')" tag row))
     ]
 
 let reference lines =
@@ -347,6 +347,45 @@ let test_router_failover () =
   check Alcotest.bool "the outage produced some answered requests" true
     (!identical + !unavailable = 40)
 
+(* A restarted primary is a fresh process (new health generation): the
+   router must replay the session's accepted updates into it before it
+   serves the session again. *)
+let test_router_replay_after_restart () =
+  with_cluster "p" @@ fun ~router ~raddr ~stop_shard ~start_shard ->
+  let tag = "p" in
+  let updates =
+    [ update_line ~id:"u1" ~row:3 tag; update_line ~id:"u2" ~row:4 tag ]
+  in
+  let q = certain_line ~id:"pq" tag in
+  let after = List.nth (reference (updates @ [ q ])) 2 in
+  (Client.with_conn raddr @@ fun c ->
+   List.iter
+     (fun u ->
+       check Alcotest.bool "update accepted" true
+         (contains (request_exn c u) {|"ok":true|}))
+     updates;
+   check Alcotest.string "post-update read" after (request_exn c q));
+  let victim =
+    match Router.primary_of router ~schema ~db:(db tag) with
+    | Some v -> v
+    | None -> Alcotest.fail "session has no primary"
+  in
+  stop_shard victim;
+  wait_until "prober ejects the stopped primary" (fun () ->
+      not (List.mem victim (Router.live_shards router)));
+  start_shard victim;
+  wait_until "prober re-admits the restarted primary" (fun () ->
+      List.mem victim (Router.live_shards router));
+  (* Reads rotate over the two replicas, so one of these two reaches
+     the restarted primary and makes the router replay its log there. *)
+  (Client.with_conn raddr @@ fun c ->
+   for _ = 1 to 2 do
+     check Alcotest.string "read after restart" after (request_exn c q)
+   done);
+  Client.with_conn (Daemon.Unix_sock victim) @@ fun c ->
+  check Alcotest.string "restarted primary holds both updates" after
+    (request_exn c q)
+
 let () =
   Alcotest.run "router"
     [ ( "ring",
@@ -371,6 +410,8 @@ let () =
           Alcotest.test_case "update forwards to every replica" `Quick
             test_router_update_forwarding;
           Alcotest.test_case "failover: correct bytes or typed error" `Quick
-            test_router_failover
+            test_router_failover;
+          Alcotest.test_case "updates replayed into a restarted primary"
+            `Quick test_router_replay_after_restart
         ] )
     ]
