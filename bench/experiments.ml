@@ -526,7 +526,7 @@ let e20 () =
   let d = intro_db () in
   let q = Parser.query_exn "Q() := exists x. exists y. R1(x, y) & !R2(x, y)" in
   let sp = Support_poly.of_sentences d [ Query.instantiate q Tuple.empty ] in
-  rowf "%6s %-14s %-14s %-14s %10s\n" "k" "enumeration" "polynomial" "prob. worlds"
+  rowf "%6s %-14s %-14s %-14s %10s\n" "k" "enumeration" "class census" "prob. worlds"
     "#worlds";
   List.iter
     (fun k ->

@@ -82,7 +82,12 @@ let tuple2_arg =
   Arg.(value & opt (some string) None & info [ "u"; "tuple2" ] ~docv:"TUPLE" ~doc)
 
 let ks_arg =
-  let doc = "Domain sizes k at which to sample µ^k (comma-separated)." in
+  let doc =
+    "Domain sizes k at which to report µ^k (comma-separated). The exact \
+     series is counted from the valuation classes, so it costs no sweep of \
+     the k^m valuations; a k whose valuation space exceeds a machine \
+     integer is still refused."
+  in
   Arg.(value & opt (some string) None & info [ "k"; "ks" ] ~docv:"K,K,..." ~doc)
 
 let approx_arg =
@@ -111,10 +116,10 @@ let stratify_arg =
 
 let no_decomp_arg =
   let doc =
-    "Disable the factorized evaluation path: sweep the full k^m valuation \
-     space even when the support sentence decomposes into independent \
-     components (ANL401). The factorized and monolithic engines agree \
-     bit-for-bit; this flag exists for cross-checking and timing."
+    "Skip the decomposition gate: treat the valuation space as one block \
+     even when the support sentence decomposes into independent components \
+     (ANL401), so no decomposition line is printed and the space preflight \
+     checks the whole k^m space. The series is the same either way."
   in
   Arg.(value & flag & info [ "no-decomp" ] ~doc)
 
@@ -323,6 +328,11 @@ let pipeline_or_die = function
       (match e with
       | Pipeline.Negative_k k ->
           Printf.eprintf "error: --ks entries must be >= 0, got %d\n" k
+      | Pipeline.Unknown_null n ->
+          Printf.eprintf
+            "error: the query mentions null ~%d, which occurs in neither the \
+             database nor the tuple\n"
+            n
       | Pipeline.Space_too_large { k; nulls; size } ->
           Printf.eprintf
             "error: k = %d over %d nulls gives a valuation space of %s \
@@ -365,14 +375,9 @@ let exact_route ~no_decomp inst target ks =
   | _ -> ());
   route
 
-let print_exact_series ?jobs ?cache ~label ~cell inst target route ks =
-  let series =
-    pipeline_or_die (Pipeline.series ?jobs ?cache inst target route ~ks)
-  in
-  Printf.printf "%s series (brute force%s):\n" label
-    (match route with
-    | Pipeline.Monolithic -> ""
-    | Pipeline.Factorized _ -> ", factorized");
+let print_exact_series ~census ~label ~cell inst target route ks =
+  let series = pipeline_or_die (Pipeline.series ~census inst target route ~ks) in
+  Printf.printf "%s series (exact):\n" label;
   List.iter
     (fun (k, v) ->
       Printf.printf "  k = %3d   %s%-12s ≈ %.6f\n" k cell (R.to_string v)
@@ -390,7 +395,7 @@ let measure_cmd =
         precheck ~tuple ~strict sch inst q;
         Printf.printf "query:  %s\n" (Query.to_string q);
         Printf.printf "tuple:  %s\n" (Tuple.to_string tuple);
-        let m = Pipeline.measure ?jobs inst q tuple in
+        let m = pipeline_or_die (Pipeline.measure ?jobs inst q tuple) in
         Printf.printf "|Supp^k| = %s   (|V^k| = k^%d)\n"
           (P.to_string m.Pipeline.supp_poly)
           (Instance.null_count inst);
@@ -402,8 +407,8 @@ let measure_cmd =
         let route = exact_route ~no_decomp inst target ks in
         match approx with
         | None ->
-            print_exact_series ?jobs ?cache ~label:"µ^k" ~cell:"µ^k = " inst
-              target route ks
+            print_exact_series ~census:m.Pipeline.census ~label:"µ^k"
+              ~cell:"µ^k = " inst target route ks
         | Some (eps, delta) -> (
             (* No space preflight here — sampling beyond the exact
                engine's overflow frontier is the point — but the
@@ -466,8 +471,9 @@ let measure_cmd =
   in
   let doc =
     "Measure how close an answer is to certainty: the support polynomial, the \
-     asymptotic measure µ (0 or 1 by the 0-1 law), and a µ^k series — exact \
-     by brute force, or (ε,δ)-approximate with --approx."
+     asymptotic measure µ (0 or 1 by the 0-1 law), and a µ^k series — exact, \
+     read off the same count of valuation classes, or (ε,δ)-approximate with \
+     --approx."
   in
   Cmd.v (Cmd.info "measure" ~doc)
     Term.(const run $ schema_arg $ db_arg $ query_arg $ tuple_arg $ ks_arg
@@ -493,7 +499,8 @@ let conditional_cmd =
               (Constraints.Dependency.to_string ~schema:sch d))
           deps;
         let report =
-          Zeroone.Conditional.mu_cond_report ?jobs ?cache ~sigma inst q tuple
+          pipeline_or_die
+            (Pipeline.conditional ?jobs ?cache ~sigma inst q tuple)
         in
         Printf.printf "|Supp^k(Σ∧Q)| = %s\n"
           (P.to_string report.Zeroone.Conditional.numerator);
@@ -515,8 +522,8 @@ let conditional_cmd =
         | Some _ ->
             let ks = parse_ks inst ks in
             let target = Pipeline.Given (sigma, q, tuple) in
-            print_exact_series ?jobs ?cache ~label:"µ^k(Q|Σ)" ~cell:"" inst
-              target
+            print_exact_series ~census:report.Zeroone.Conditional.census
+              ~label:"µ^k(Q|Σ)" ~cell:"" inst target
               (exact_route ~no_decomp inst target ks)
               ks)
   in

@@ -8,22 +8,27 @@ module Poly = Arith.Poly
 module Rat = Arith.Rat
 module B = Arith.Bigint
 
-type report = { numerator : Poly.t; denominator : Poly.t; value : Rat.t }
+type report = {
+  numerator : Poly.t;
+  denominator : Poly.t;
+  value : Rat.t;
+  census : Support_poly.t;
+}
 
-let mu_cond_report ?jobs ?cache ~sigma inst q tuple =
+let mu_cond_report ?jobs ?guard ?cache ~sigma inst q tuple =
   Obs.Trace.span "conditional.report" @@ fun () ->
   let answer = Query.instantiate q tuple in
-  (* One class pass counts |Supp^k(Σ∧Q)| and |Supp^k(Σ)| together; with
-     ?jobs the pass is chunked over domains, so the numerator and
-     denominator polynomials are accumulated concurrently. *)
-  let sp =
-    Support_poly.of_sentences ?jobs ?cache inst
+  (* One class pass takes the census of Σ∧Q and Σ together; with ?jobs
+     the pass is chunked over domains, so the numerator and
+     denominator tallies are accumulated concurrently. *)
+  let census =
+    Support_poly.of_sentences ?jobs ?guard ?cache inst
       [ Formula.And (sigma, answer); sigma ]
   in
-  match sp.Support_poly.polys with
+  match census.Support_poly.polys with
   | [ numerator; denominator ] ->
       let value = Support_poly.limit numerator denominator in
-      { numerator; denominator; value }
+      { numerator; denominator; value; census }
   | _ -> assert false
 
 let mu_cond ?jobs ?cache ~sigma inst q tuple =

@@ -23,6 +23,10 @@ type report = {
   numerator : Arith.Poly.t;  (** [|Supp^k(Σ ∧ Q(ā), D)|] *)
   denominator : Arith.Poly.t;  (** [|Supp^k(Σ, D)|] *)
   value : Arith.Rat.t;  (** the limit [µ(Q|Σ,D,ā)] *)
+  census : Support_poly.t;
+      (** the class census behind both polynomials, sentences
+          [\[Σ ∧ Q(ā); Σ\]] — exact [µ^k(Q|Σ)] at every [k]
+          ({!Pipeline.series}) *)
 }
 
 val mu_cond :
@@ -45,13 +49,16 @@ val mu_cond_boolean :
 
 val mu_cond_report :
   ?jobs:int ->
+  ?guard:(unit -> unit) ->
   ?cache:Incomplete.Support.cache ->
   sigma:Logic.Formula.t ->
   Relational.Instance.t ->
   Logic.Query.t ->
   Relational.Tuple.t ->
   report
-(** The polynomials behind the limit, for inspection (experiment E7). *)
+(** The polynomials behind the limit, for inspection (experiment E7),
+    and their census. [?guard] cancels the class pass
+    ({!Support_poly.of_sentences}). *)
 
 val mu_cond_deps :
   ?jobs:int ->
@@ -89,8 +96,9 @@ val mu_cond_k :
   Relational.Tuple.t ->
   k:int ->
   Arith.Rat.t
-(** Brute-force [µ^k(Q|Σ,D,ā)] for cross-checking; 0 when no valuation
-    in [V^k] satisfies [Σ].
+(** Brute-force [µ^k(Q|Σ,D,ā)], the oracle the census-based series of
+    {!Pipeline.series} is tested against; 0 when no valuation in [V^k]
+    satisfies [Σ].
     @raise Arith.Bigint.Overflow if the space [V^k] exceeds [max_int]. *)
 
 val cond_decomp :

@@ -15,12 +15,9 @@ let mu_boolean inst q =
   if Query.arity q <> 0 then invalid_arg "Measure.mu_boolean: query not Boolean"
   else mu inst q Tuple.empty
 
-let symbolic ?jobs inst q tuple =
-  let sp = Support_poly.of_sentences ?jobs inst [ Query.instantiate q tuple ] in
-  let p = List.hd sp.Support_poly.polys in
-  (p, Support_poly.limit p sp.Support_poly.total)
-
-let mu_symbolic inst q tuple = snd (symbolic inst q tuple)
+let mu_symbolic inst q tuple =
+  let sp = Support_poly.of_sentences inst [ Query.instantiate q tuple ] in
+  Support_poly.limit (List.hd sp.Support_poly.polys) sp.Support_poly.total
 
 let to_rat = function
   | Almost_certainly_true -> Rat.one

@@ -22,20 +22,11 @@ val mu :
 
 val mu_boolean : Relational.Instance.t -> Logic.Query.t -> verdict
 
-val symbolic :
-  ?jobs:int ->
-  Relational.Instance.t ->
-  Logic.Query.t ->
-  Relational.Tuple.t ->
-  Arith.Poly.t * Arith.Rat.t
-(** [|Supp^k(Q,D,ā)|] and its limit over [k^m], from one pass over the
-    valuation classes ({!Support_poly.of_sentences}, which documents
-    [?jobs]). *)
-
 val mu_symbolic :
   Relational.Instance.t -> Logic.Query.t -> Relational.Tuple.t -> Arith.Rat.t
-(** [lim_k |Supp^k(Q,D,ā)| / k^m]: the second half of {!symbolic}.
-    The 0–1 law asserts this is 0 or 1 and matches {!mu}. *)
+(** [lim_k |Supp^k(Q,D,ā)| / k^m], from one pass over the valuation
+    classes ({!Support_poly.of_sentences}). The 0–1 law asserts this is
+    0 or 1 and matches {!mu}. *)
 
 val to_rat : verdict -> Arith.Rat.t
 val is_almost_certainly_true : verdict -> bool

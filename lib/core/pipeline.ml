@@ -1,9 +1,12 @@
 module Tuple = Relational.Tuple
 module Decomp = Analysis.Decomp
 module Factor = Incomplete.Factor
+module B = Arith.Bigint
+module Rat = Arith.Rat
 
 type error =
   | Negative_k of int
+  | Unknown_null of int
   | Space_too_large of { k : int; nulls : int; size : Arith.Bigint.t }
   | Component_too_large of {
       k : int;
@@ -23,18 +26,47 @@ type measure = {
   supp_poly : Arith.Poly.t;
   mu : Arith.Rat.t;
   verdict : Measure.verdict;
+  census : Support_poly.t;
 }
 
 let ( let* ) = Result.bind
+
+(* The valuation space of a request is V^k over the nulls of D and ā
+   (and of Σ, which is built from dependencies). A query that names any
+   other null would be counted over a larger space than the one its
+   answers are drawn from, so it is refused before any pass runs. *)
+let known_nulls inst q tuple =
+  let known = Relational.Instance.nulls inst @ Tuple.nulls tuple in
+  match
+    List.find_opt
+      (fun n -> not (List.mem n known))
+      (Logic.Formula.nulls q.Logic.Query.body)
+  with
+  | Some n -> Error (Unknown_null n)
+  | None -> Ok ()
 
 (* The class pass compiles against a kernel db of its own, not the
    session's: kernels are memoized per domain by (db, sentence), and
    the daemon's worker threads all run on one domain, so a kernel
    compiled against the shared db would hand its mutable scratch to
    concurrent requests. *)
-let measure ?jobs inst q tuple =
-  let supp_poly, mu = Measure.symbolic ?jobs inst q tuple in
-  { supp_poly; mu; verdict = Measure.mu inst q tuple }
+let measure ?jobs ?guard inst q tuple =
+  let* () = known_nulls inst q tuple in
+  let census =
+    Support_poly.of_sentences ?jobs ?guard inst
+      [ Logic.Query.instantiate q tuple ]
+  in
+  let supp_poly = List.hd census.Support_poly.polys in
+  Ok
+    { supp_poly;
+      mu = Support_poly.limit supp_poly census.Support_poly.total;
+      verdict = Measure.mu inst q tuple;
+      census
+    }
+
+let conditional ?jobs ?guard ?cache ~sigma inst q tuple =
+  let* () = known_nulls inst q tuple in
+  Ok (Conditional.mu_cond_report ?jobs ?guard ?cache ~sigma inst q tuple)
 
 let check_ks ks =
   match List.find_opt (fun k -> k < 0) ks with
@@ -63,21 +95,22 @@ let route ?(decomp = true) inst target ~ks =
 
 let plan d = Option.get (Decomp.plan d)
 
-(* A sweep whose space does not fit in an int would spin forever.
-   Both routes sweep the monolithic set (the nulls of D, ā and Σ), but
-   a factorized one only enumerates its components' spaces — the
-   free-null factor is bigint arithmetic. Checked plan by plan, then k
-   by k, then component by component. *)
+(* The nulls of V^k: those of D, ā and Σ. *)
+let space_nulls inst target =
+  List.sort_uniq Int.compare
+    (Relational.Instance.nulls inst
+    @
+    match target with
+    | Answer (_, tuple) -> Tuple.nulls tuple
+    | Given (sigma, _, tuple) -> Tuple.nulls tuple @ Logic.Formula.nulls sigma)
+
+(* The wire contract refuses a series whose space does not fit in an
+   int, as it did when the series was a sweep. A factorized route only
+   refuses a component's space — the free-null factor is bigint
+   arithmetic. Checked plan by plan, then k by k, then component by
+   component. *)
 let preflight inst target route ~ks =
-  let nulls =
-    List.sort_uniq Int.compare
-      (Relational.Instance.nulls inst
-      @
-      match target with
-      | Answer (_, tuple) -> Tuple.nulls tuple
-      | Given (sigma, _, tuple) -> Tuple.nulls tuple @ Logic.Formula.nulls sigma
-      )
-  in
+  let nulls = space_nulls inst target in
   let total_nulls = List.length nulls in
   let plans =
     match route with
@@ -109,26 +142,26 @@ let preflight inst target route ~ks =
   | None -> Ok ()
   | Some e -> Error e
 
-let series ?jobs ?guard ?cache inst target route ~ks =
+(* µ^k off the census. A null of V^k that no counted sentence mentions
+   (a tuple null outside D that the query body ignores) multiplies
+   every count and k^m alike by k; it changes a quotient only at k = 0,
+   where V^k is empty and µ^k is 0. *)
+let series ~census inst target route ~ks =
   let* () = check_ks ks in
   let* () = preflight inst target route ~ks in
-  match (target, route) with
-  | Answer (q, tuple), Monolithic ->
-      Ok (Incomplete.Support.mu_k_series ?jobs ?guard ?cache inst q tuple ~ks)
-  | Answer _, Factorized [ d ] ->
-      Ok
-        (Incomplete.Support.mu_k_series_plan ?jobs ?guard ?cache inst (plan d)
-           ~ks)
-  | Given (sigma, q, tuple), Monolithic ->
-      Ok
-        (List.map
-           (fun k ->
-             ( k,
-               Conditional.mu_cond_k ?jobs ?guard ?cache ~sigma inst q tuple ~k
-             ))
-           ks)
-  | Given _, Factorized [ num; den ] ->
-      Ok
-        (Conditional.mu_cond_k_series_plans ?jobs ?guard ?cache
-           ~num_plan:(plan num) ~den_plan:(plan den) inst ~ks)
-  | _, Factorized _ -> invalid_arg "Pipeline.series: route of another target"
+  let nulls = space_nulls inst target in
+  if
+    not
+      (List.for_all (fun n -> List.mem n nulls) census.Support_poly.nulls)
+  then invalid_arg "Pipeline.series: census of another target";
+  let count sentence k = Support_poly.supp_count census ~sentence ~k in
+  let mu_k k =
+    if k = 0 && nulls <> [] then Rat.zero
+    else
+      match target with
+      | Answer _ -> Support_poly.mu_k_exact census ~sentence:0 ~k
+      | Given _ ->
+          let den = count 1 k in
+          if B.is_zero den then Rat.zero else Rat.make (count 0 k) den
+  in
+  Ok (List.map (fun k -> (k, mu_k k)) ks)

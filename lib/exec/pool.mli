@@ -23,10 +23,10 @@
     partial results are always combined left-to-right in increasing
     chunk order, so [fold_range] is reproducible run to run for any
     [combine]. Moreover every accumulator used in this code base
-    ({!Arith.Bigint} addition, {!Arith.Rat} addition, {!Arith.Poly}
-    addition, relation union) is exact and associative-commutative, so
-    the result is {e bit-identical} to the sequential fold regardless
-    of the number of domains — property-tested in
+    ({!Arith.Bigint} addition, {!Arith.Rat} addition, element-wise
+    addition of [int] tallies, relation union) is exact and
+    associative-commutative, so the result is {e bit-identical} to the
+    sequential fold regardless of the number of domains — property-tested in
     [test/test_parallel.ml] and re-checked by [bench --parallel].
 
     Fallback: when [jobs <= 1], when the range is smaller than

@@ -75,6 +75,12 @@ let series_string series =
 let pipeline_error = function
   | Pipeline.Negative_k k ->
       (Wire.Bad_request, Printf.sprintf "\"ks\" entries must be >= 0, got %d" k)
+  | Pipeline.Unknown_null n ->
+      ( Wire.Bad_request,
+        Printf.sprintf
+          "query mentions null ~%d, which occurs in neither the db nor the \
+           tuple"
+          n )
   | Pipeline.Space_too_large { k; nulls; size } ->
       ( Wire.Bad_request,
         Printf.sprintf
@@ -90,20 +96,18 @@ let pipeline_error = function
           k component nulls
           (Arith.Bigint.to_string size) )
 
-(* The exact µ^k series of [target] when the request names ks, with
-   the decomposition fields when the factorized route answered — the
-   engines agree bit for bit, so only those fields tell the routes
-   apart. *)
-let series_fields ?jobs ?guard ~cache inst target req =
+let pipeline r = Result.map_error pipeline_error r
+
+(* The exact µ^k series of [target] when the request names ks, read off
+   the census of the request's class pass, with the decomposition
+   fields when the target factorizes. *)
+let series_fields ~census inst target req =
   let* ks = get_ks req in
   match ks with
   | None -> Ok []
   | Some ks ->
-      let pipeline r = Result.map_error pipeline_error r in
       let* route = pipeline (Pipeline.route inst target ~ks) in
-      let* series =
-        pipeline (Pipeline.series ?jobs ?guard ~cache inst target route ~ks)
-      in
+      let* series = pipeline (Pipeline.series ~census inst target route ~ks) in
       let decomp =
         match route with
         | Pipeline.Monolithic -> []
@@ -181,15 +185,17 @@ let run_certain ~sessions ?jobs ?guard req =
 
 let run_measure ~sessions ?jobs ?guard req =
   let* entry = get_session sessions req in
-  let inst = entry.Session.inst and cache = entry.Session.cache in
+  let inst = entry.Session.inst in
   let* qs = require req "query" in
   let* q = parse_query qs in
   let* () = well_formed entry.Session.schema q in
   let* tuple = get_tuple req q in
   let* () = precheck ~tuple entry.Session.schema inst q in
-  let m = Pipeline.measure ?jobs inst q tuple in
+  let* m = pipeline (Pipeline.measure ?jobs ?guard inst q tuple) in
   let* series =
-    series_fields ?jobs ?guard ~cache inst (Pipeline.Answer (q, tuple)) req
+    series_fields ~census:m.Pipeline.census inst
+      (Pipeline.Answer (q, tuple))
+      req
   in
   Ok
     ([ ("supp_poly", Wire.S (P.to_string m.Pipeline.supp_poly));
@@ -213,7 +219,9 @@ let run_conditional ~sessions ?jobs ?guard req =
   let* () = precheck ~deps ~tuple entry.Session.schema inst q in
   let sch = entry.Session.schema in
   let sigma = Constraints.Dependency.set_to_formula sch deps in
-  let report = Zeroone.Conditional.mu_cond_report ?jobs ~cache ~sigma inst q tuple in
+  let* report =
+    pipeline (Pipeline.conditional ?jobs ?guard ~cache ~sigma inst q tuple)
+  in
   let strategy = Zeroone.Conditional.strategy deps tuple in
   let chase =
     match strategy with
@@ -231,7 +239,7 @@ let run_conditional ~sessions ?jobs ?guard req =
     | Zeroone.Conditional.Symbolic -> []
   in
   let* series =
-    series_fields ?jobs ?guard ~cache inst
+    series_fields ~census:report.Zeroone.Conditional.census inst
       (Pipeline.Given (sigma, q, tuple))
       req
   in

@@ -385,13 +385,15 @@ let test_daemon_deadline () =
   with_daemon ~config "dl" @@ fun addr ->
   let before = Obs.Metrics.value Obs.Metrics.serve_deadline_exceeded in
   Client.with_conn addr @@ fun c ->
-  (* 60^4 = 12 960 000 valuations: cannot finish in 1ms; the guard
-     trips at a chunk boundary and the typed error comes back. *)
+  (* Nine nulls give 21 147 valuation classes: the class pass cannot
+     finish in 1ms; the guard trips inside it and the typed error comes
+     back. *)
   let slow =
     W.obj
-      [ ("op", W.S "measure"); ("schema", W.S "U(a,b,c,d)");
-        ("db", W.S "U = { (~1, ~2, ~3, ~4) }");
-        ("query", W.S "Q() := exists x. U(x, x, x, x)"); ("ks", W.S "60")
+      [ ("op", W.S "measure"); ("schema", W.S "U(a,b,c,d,e,f,g,h,i)");
+        ("db", W.S "U = { (~1, ~2, ~3, ~4, ~5, ~6, ~7, ~8, ~9) }");
+        ("query", W.S "Q() := exists x. U(x, x, x, x, x, x, x, x, x)");
+        ("ks", W.S "60")
       ]
   in
   let resp = request_exn c slow in

@@ -21,6 +21,7 @@ module Measure = Zeroone.Measure
 module Alt_measure = Zeroone.Alt_measure
 module Owa = Zeroone.Owa
 module Conditional = Zeroone.Conditional
+module Pipeline = Zeroone.Pipeline
 module Constructions = Zeroone.Constructions
 module B = Arith.Bigint
 module R = Arith.Rat
@@ -92,6 +93,63 @@ let prop_support_poly_matches_bruteforce =
               R.equal sym (R.of_bigint brute))
             [ kmin; kmin + 1; kmin + 2 ])
         fo_queries)
+
+(* The census answers at every k ≥ 0 — below the anchor codes too,
+   where the polynomial's value is no count — and the pipeline's µ^k
+   series read off it equal the sweeps. The tuple (~5) names a null
+   outside D that its query's body ignores: V^k grows by a factor k,
+   which only the k = 0 quotient sees. *)
+let prop_census_matches_sweep_every_k =
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2 (fun (k, x) (k', y) -> k = k' && R.equal x y) a b
+  in
+  let sigma = Parser.formula_exn "forall x. forall y. R(x, y) -> S(x, y)" in
+  let boolean =
+    Parser.query_exn "Q() := exists x. R(x, 'z1') | S(x, x)" :: fo_queries
+  in
+  let cases =
+    List.map (fun q -> (q, Tuple.empty)) boolean
+    @ [ (Parser.query_exn "Q(x) := exists y. R(x, y)",
+         Tuple.of_list [ Value.null 0 ]);
+        (Parser.query_exn "Q(x) := !(exists y. S(y, y))",
+         Tuple.of_list [ Value.null 5 ])
+      ]
+  in
+  QCheck.Test.make ~name:"census = sweep at every k ≥ 0" ~count:30
+    rs_instance_gen (fun d ->
+      List.for_all
+        (fun (q, tuple) ->
+          match
+            ( Pipeline.measure d q tuple,
+              Pipeline.conditional ~sigma d q tuple )
+          with
+          | Ok m, Ok report ->
+              let census = m.Pipeline.census in
+              let kmin = List.fold_left max 1 census.Support_poly.anchor_set in
+              let ks = List.init (kmin + 3) Fun.id in
+              (Query.arity q > 0
+              || List.for_all
+                   (fun k ->
+                     B.equal
+                       (Support_poly.supp_count census ~sentence:0 ~k)
+                       (Support.supp_count d q tuple ~k))
+                   ks)
+              && Pipeline.series ~census d (Pipeline.Answer (q, tuple))
+                   Pipeline.Monolithic ~ks
+                 |> Result.get_ok
+                 |> same (Support.mu_k_series d q tuple ~ks)
+              && Pipeline.series ~census:report.Conditional.census d
+                   (Pipeline.Given (sigma, q, tuple))
+                   Pipeline.Monolithic ~ks
+                 |> Result.get_ok
+                 |> same
+                      (List.map
+                         (fun k ->
+                           (k, Conditional.mu_cond_k ~sigma d q tuple ~k))
+                         ks)
+          | _ -> false)
+        cases)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1: the 0-1 law                                               *)
@@ -503,7 +561,7 @@ let test_mu_k_exact_matches_series () =
         (Printf.sprintf "exact µ^k at %d" k)
         (Support.mu_k_boolean d q ~k)
         (Support_poly.mu_k_exact sp ~sentence:0 ~k))
-    [ kmin; kmin + 1; kmin + 3 ]
+    [ 0; 1; kmin - 1; kmin; kmin + 1; kmin + 3 ]
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -511,7 +569,7 @@ let qcheck_cases =
       prop_zero_one_law_tuples; prop_alt_measure_same_verdict;
       prop_implication_law; prop_conditional_poly_matches_bruteforce;
       prop_acc_constraints_vanish; prop_chase_equals_conditional;
-      prop_deps_direct_matches_compiled ]
+      prop_deps_direct_matches_compiled; prop_census_matches_sweep_every_k ]
 
 let () =
   Alcotest.run "zeroone"
