@@ -12,6 +12,7 @@
                            [--socket PATH to drive an external server]
    Update vs rebuild:      dune exec bench/main.exe -- --update [--smoke]
    Approx CI gate:         dune exec bench/main.exe -- --approx-gate
+   Concurrent identity:    dune exec bench/main.exe -- --concurrent
    Regression diff:        dune exec bench/main.exe -- --diff BASE FRESH
                            [--max-regression 0.25] *)
 
@@ -638,6 +639,10 @@ let () =
   in
   if List.mem "--approx-gate" args then begin
     Approx_gate.run ();
+    exit 0
+  end;
+  if List.mem "--concurrent" args then begin
+    Concurrent_bench.run ();
     exit 0
   end;
   (match two_after "--diff" args with

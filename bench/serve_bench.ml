@@ -78,6 +78,12 @@ let workload_lines =
       ]
   ]
 
+(* The response line the service sends for one parsed request. *)
+let respond ~sessions ~jobs (r : W.request) =
+  match Server.Service.handle ~sessions ~jobs r with
+  | Ok payload -> W.ok_line ~id:r.W.id ~op:r.W.op payload
+  | Error (err, msg) -> W.error_line ~id:r.W.id err msg
+
 (* The reference: the same requests through the sequential engine. *)
 let build_workload () =
   let sessions = Server.Session.create () in
@@ -85,13 +91,7 @@ let build_workload () =
     (fun line ->
       match W.parse_request line with
       | Error msg -> failwith ("bench workload line does not parse: " ^ msg)
-      | Ok r ->
-          let expected =
-            match Server.Service.handle ~sessions ~jobs:1 r with
-            | Ok payload -> W.ok_line ~id:r.W.id ~op:r.W.op payload
-            | Error (err, msg) -> W.error_line ~id:r.W.id err msg
-          in
-          { line; expected })
+      | Ok r -> { line; expected = respond ~sessions ~jobs:1 r })
     workload_lines
 
 (* ------------------------------------------------------------------ *)

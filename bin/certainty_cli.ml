@@ -142,7 +142,8 @@ let parse_approx = function
 
 let jobs_arg =
   let doc =
-    "Chunk count for the parallel valuation sweeps: 0 picks the number the \
+    "Chunk count for the parallel evaluation passes (the class census, \
+     certain-answer candidate checks, sampling for --approx): 0 picks the number the \
      runtime recommends for this machine, 1 forces sequential evaluation. \
      Chunks run on a persistent worker pool sized to the machine's cores, \
      so values larger than the core count are safe — concurrency is \
@@ -876,7 +877,7 @@ let serve_cmd =
   let workers_arg =
     let doc =
       "Service threads executing requests concurrently (each may in turn \
-       fan its valuation sweep out over --jobs pool chunks)."
+       split its class pass or candidate checks over --jobs pool chunks)."
     in
     Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
   in

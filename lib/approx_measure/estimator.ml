@@ -407,8 +407,7 @@ let mu_k_plan ?jobs ?guard ?cache inst plan ~k ~eps ~delta ~seed =
         let sentence = c.Factor.c_sentence in
         if exact then
           let count =
-            Support.count_satisfying ?jobs ?guard ?cache ~db ~sentence ~nulls
-              ~k ()
+            Support.count_satisfying ?jobs ?guard ~db ~sentence ~nulls ~k ()
           in
           let p = R.make count (Enumerate.count ~nulls ~k) in
           ( R.mul est p, R.mul lo p, R.mul hi p, samples,

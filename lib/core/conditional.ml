@@ -77,18 +77,18 @@ let mu_cond_k ?jobs ?guard ?cache ~sigma inst q tuple ~k =
       (Instance.nulls inst @ Tuple.nulls tuple @ Formula.nulls sigma)
   in
   let db = Support.kernel_db ?cache inst in
-  (* The exhaustive sweep: each chunk steps one odometer through its
-     rank range and feeds the digit fast path of the calling domain's
-     memoized Σ and Q(ā) kernels — an answer check only when Σ holds,
-     and no verdict-cache traffic (every key of the sweep is
-     distinct). Bigint partial sums are exact, so any chunking gives
-     the sequential pair. *)
+  (* The exhaustive sweep: each chunk compiles its own Σ and Q(ā)
+     kernels, steps one odometer through its rank range and feeds their
+     digit fast path — an answer check only when Σ holds, and no
+     verdict-cache traffic (every key of the sweep is distinct). Bigint
+     partial sums are exact, so any chunking gives the sequential
+     pair. *)
   let num, den =
     Exec.Pool.fold_range ?jobs ?guard ~min_work:512
       ~n:(Enumerate.space_size_exn ~nulls ~k)
       ~chunk:(fun lo hi ->
-        let sig_kern = Support.domain_kernel db sigma in
-        let ans_kern = Support.domain_kernel db answer in
+        let sig_kern = Incomplete.Kernel.compile db sigma in
+        let ans_kern = Incomplete.Kernel.compile db answer in
         Incomplete.Kernel.prepare_digits sig_kern ~nulls;
         Incomplete.Kernel.prepare_digits ans_kern ~nulls;
         Obs.Metrics.add Obs.Metrics.valuations_evaluated (hi - lo);

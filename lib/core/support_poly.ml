@@ -40,10 +40,10 @@ let census_key ~anchor_set =
    tallying the satisfying classes of each sentence/predicate by census
    key in a plain int array. The class list is carved into contiguous
    chunks on pool domains; each chunk calls [mk_verdicts ()] to build
-   its own checker, so mutable evaluation state (the compiled kernels,
-   single-threaded and memoized per domain via
-   [Support.domain_checker]) is never shared across domains. Tallies
-   merge by element-wise addition, so parallel results are
+   its own checkers, so mutable evaluation state (the compiled kernels,
+   single-threaded) belongs to one chunk and is never shared, whether
+   with another domain or with a concurrent request on the same one.
+   Tallies merge by element-wise addition, so parallel results are
    bit-identical to sequential ones.
 
    A class costs a representative and a kernel verdict — microseconds,
@@ -123,13 +123,12 @@ let of_sentences ?jobs ?guard ?cache inst sentences =
   let classes = Classes.enumerate ~anchor_set ~nulls in
   (* Class representatives repeat across calls (and across the two
      sentences of a conditional report), so the verdict cache stays
-     on; the kernels behind the checkers are memoized per pool domain,
-     so chunks landing on one domain share a compile. *)
+     on; each chunk compiles the kernels behind its own checkers. *)
   make ~anchor_set ~nulls
     (sum_over_classes ?jobs ?guard ~anchor_set ~nulls ~width:sentences
        classes (fun () ->
          let checkers =
-           List.map (fun s -> Support.domain_checker ?cache db s) sentences
+           List.map (fun s -> Support.checker ?cache db s) sentences
          in
          fun cls ->
            let v = Classes.representative ~anchor_set cls in

@@ -36,12 +36,10 @@ let check_candidate ?cache ~all db q tuple =
   let sentence = Query.instantiate q tuple in
   let anchor_set = Support.anchor_set_sentences_split split [ sentence ] in
   let nulls = all_nulls_split split tuple in
-  (* Repeated certainty probes for the same (db, Q(ā)) — a server
-     session re-asking, a test loop — reuse the calling domain's
-     memoized kernel; class representatives repeat, so the verdict
-     cache stays on (this is the repeated-valuation path the sweep
-     bypass in [Support.count_satisfying] preserves the cache for). *)
-  let chk = Support.domain_checker ?cache db sentence in
+  (* Class representatives repeat across probes of the same (db, Q(ā))
+     — a server session re-asking, a test loop — so the verdict cache
+     stays on; the kernel is compiled for this call alone. *)
+  let chk = Support.checker ?cache db sentence in
   let verdict c = Support.check chk (Classes.representative ~anchor_set c) in
   let classes = Classes.enumerate ~anchor_set ~nulls in
   if all then for_all_sc verdict classes else exists_sc verdict classes
@@ -90,10 +88,8 @@ let filter_candidates ?jobs ?guard ?cache ~all inst q =
     ~chunk:(fun lo hi ->
       let rel = ref (Relation.empty m) in
       for i = lo to hi - 1 do
-        (* Deliberately NOT [domain_checker]: every candidate has its
-           own instantiated sentence, so a per-domain memo would only
-           churn its bounded store — each sentence is compiled exactly
-           once either way. *)
+        (* Every candidate has its own instantiated sentence, compiled
+           once, inside the chunk that checks it. *)
         let chk = Support.checker ?cache db (Query.instantiate q cands.(i)) in
         let keep =
           if all then for_all_sc (Support.check chk) representatives
@@ -136,7 +132,7 @@ let sentence_classes ?cache inst sentence =
   let nulls =
     List.sort_uniq Int.compare (Split.nulls split @ Formula.nulls sentence)
   in
-  let chk = Support.domain_checker ?cache db sentence in
+  let chk = Support.checker ?cache db sentence in
   List.map
     (fun c -> Support.check chk (Classes.representative ~anchor_set c))
     (Classes.enumerate ~anchor_set ~nulls)

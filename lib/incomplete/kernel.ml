@@ -36,7 +36,7 @@ module Compiled = Logic.Compiled
 
    The immutable, shareable part is [db]; a [t] adds mutable
    per-valuation scratch and is single-threaded. Parallel folds share
-   one [db] and compile one [t] per domain (see [Support]). *)
+   one [db] and compile one [t] per chunk (see [Support]). *)
 
 type db = {
   split : Split.t;
@@ -57,11 +57,9 @@ let split t = t.split
 let instance t = Split.base t.split
 
 (* The db inherits the generation stamp of the instance it presents:
-   caches (Support's kernel-db cache, the per-domain compiled-kernel
-   memo) key on it, so a delta-updated db — whose base instance is a
-   new value with a fresh stamp — can never be confused with the
-   pre-update one, while two dbs built from the same instance value
-   share their derived state. *)
+   Support's kernel-db cache keys on it, so a delta-updated db — whose
+   base instance is a new value with a fresh stamp — can never be
+   confused with the pre-update one. *)
 let db_generation t = Instance.generation (Split.base t.split)
 
 (* Single-tuple deltas: patch the split and, for a ground tuple, the

@@ -165,32 +165,6 @@ let checker ?cache db sentence =
     epoch = sentence_epoch_of cache sentence
   }
 
-(* One compiled kernel per pool domain per (db, sentence), memoized in
-   domain-local storage: chunks of a parallel fold that land on the
-   same domain reuse one kernel's mutable scratch instead of paying a
-   compile per chunk (up to 8192 chunks under the pool guard). The db
-   is keyed by its generation stamp — equal stamps guarantee the same
-   underlying instance value, unlike the physical comparison this memo
-   used before, which would silently reuse a stale compiled kernel if
-   a db were ever revived at the same address after a mutation. The
-   sentence is structural, so repeated sweeps over the same session
-   hit even when the sentence value was rebuilt. *)
-let domain_kernels : (Kernel.db * Formula.t, Kernel.t) Exec.Dls.t =
-  Exec.Dls.create
-    ~eq:(fun (db1, s1) (db2, s2) ->
-      Kernel.db_generation db1 = Kernel.db_generation db2 && s1 = s2)
-    ()
-
-let domain_kernel db sentence =
-  Exec.Dls.find_or_add domain_kernels (db, sentence) ~mk:(fun () ->
-      Kernel.compile db sentence)
-
-let domain_checker ?cache db sentence =
-  { kern = domain_kernel db sentence;
-    cache;
-    epoch = sentence_epoch_of cache sentence
-  }
-
 let check c v =
   Obs.Metrics.incr Obs.Metrics.valuations_evaluated;
   match c.cache with
@@ -212,24 +186,23 @@ let all_nulls inst tuple =
   List.sort_uniq Int.compare (Instance.nulls inst @ Tuple.nulls tuple)
 
 (* Count the valuations of V^k satisfying the compiled sentence,
-   splitting the rank space across pool domains. Each chunk seeds an
-   odometer at its first rank and runs the kernel's digit fast path on
-   that domain's memoized kernel ({!domain_kernel}) — no Valuation.t,
-   no compile per chunk, no allocation per valuation.
+   splitting the rank space across pool domains. Each chunk compiles
+   its own kernel, seeds an odometer at its first rank and runs the
+   kernel's digit fast path — no Valuation.t, no allocation per
+   valuation, and no scratch shared with any other chunk.
 
-   The verdict cache is deliberately {e bypassed} here: an exhaustive
-   sweep visits every key of the space exactly once, so each lookup is
-   a guaranteed miss that pays the global cache mutex, hashes the
-   bindings key, and evicts verdicts the repeated-valuation paths
-   (Certain / Support_poly class loops) actually want. [?cache] still
-   feeds those paths and {!kernel_db}, not this one.
+   There is no verdict cache here: an exhaustive sweep visits every
+   key of the space exactly once, so each lookup would be a guaranteed
+   miss that pays the global cache mutex, hashes the bindings key, and
+   evicts verdicts the repeated-valuation paths (Certain /
+   Support_poly class loops) actually want.
 
    Per-chunk subcounts fit in [int] because the whole space does; they
    are summed as bigints in chunk order — bit-identical to the
    sequential count since addition is exact. A space past [max_int]
    raises [Bigint.Overflow] up front: no enumeration of it could
    finish. *)
-let count_satisfying ?jobs ?guard ?cache:_ ~db ~sentence ~nulls ~k () =
+let count_satisfying ?jobs ?guard ~db ~sentence ~nulls ~k () =
   Obs.Trace.span "support.count"
     ~attrs:
       [ ("k", string_of_int k); ("nulls", string_of_int (List.length nulls)) ]
@@ -237,7 +210,7 @@ let count_satisfying ?jobs ?guard ?cache:_ ~db ~sentence ~nulls ~k () =
   Exec.Pool.fold_range ?jobs ?guard ~min_work:parallel_threshold
     ~n:(Enumerate.space_size_exn ~nulls ~k)
     ~chunk:(fun lo hi ->
-      let kern = domain_kernel db sentence in
+      let kern = Kernel.compile db sentence in
       Kernel.prepare_digits kern ~nulls;
       (* Every digit vector is a verdict request and a kernel refresh;
          counted in bulk to keep the loop branch-free. *)
@@ -256,16 +229,14 @@ let count_satisfying ?jobs ?guard ?cache:_ ~db ~sentence ~nulls ~k () =
 (* µ^k over a decomposition plan                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One kernel db per component, hoisted so a µ^k series compiles each
-   component once. A one-component plan whose restriction would drop no
-   tuple (every relation it leaves out is empty) sweeps the whole
-   instance — the monolithic sweep, {!Factor.whole} — so it runs on
-   [kernel_db ?cache inst], cached per generation and delta-maintained
-   across updates, instead of a rebuilt copy. The components of a real
-   decomposition run on their own restrictions. The shared verdict
-   cache stays sound across components: keys are (bindings, sentence)
-   and each conjunct belongs to exactly one component, so no two
-   kernels ever answer for the same key. *)
+(* One kernel db per component, hoisted so a µ^k series splits and
+   indexes each component once. A one-component plan whose restriction
+   would drop no tuple (every relation it leaves out is empty) sweeps
+   the whole instance — the monolithic sweep, {!Factor.whole} — so it
+   runs on [kernel_db ?cache inst], cached per generation and
+   delta-maintained across updates, instead of a rebuilt copy. The
+   components of a real decomposition run on their own restrictions.
+   [?cache] serves only that kernel db: sweeps read no verdicts. *)
 type compiled_plan = {
   cp_parts : (Kernel.db * Formula.t * int list) list;
       (* kernel db, component sentence, component nulls *)
@@ -298,35 +269,34 @@ let compile_plan ?cache inst (plan : Factor.plan) =
   }
 
 (* [∏ᵢ |Suppᵢ| · k^f]: each component is swept on its own space. *)
-let supp_count_compiled ?jobs ?guard ?cache cp ~k =
+let supp_count_compiled ?jobs ?guard cp ~k =
   List.fold_left
     (fun acc (db, sentence, nulls) ->
-      B.mul acc
-        (count_satisfying ?jobs ?guard ?cache ~db ~sentence ~nulls ~k ()))
+      B.mul acc (count_satisfying ?jobs ?guard ~db ~sentence ~nulls ~k ()))
     (Enumerate.count ~nulls:cp.cp_free ~k)
     cp.cp_parts
 
 (* µ^k = |Supp^k| / k^m, and 0 on the empty space (k = 0 with m > 0)
    — one quotient for every plan, so a factorized series is the
    monolithic one by construction, k = 0 included. *)
-let mu_k_compiled ?jobs ?guard ?cache cp ~k =
+let mu_k_compiled ?jobs ?guard cp ~k =
   let total = Enumerate.count ~nulls:cp.cp_all ~k in
-  let count = supp_count_compiled ?jobs ?guard ?cache cp ~k in
+  let count = supp_count_compiled ?jobs ?guard cp ~k in
   if B.is_zero total then Rat.zero else Rat.make count total
 
 let supp_count_plan ?jobs ?guard ?cache inst plan ~k =
-  supp_count_compiled ?jobs ?guard ?cache (compile_plan ?cache inst plan) ~k
+  supp_count_compiled ?jobs ?guard (compile_plan ?cache inst plan) ~k
 
 let mu_k_plan ?jobs ?guard ?cache inst plan ~k =
-  mu_k_compiled ?jobs ?guard ?cache (compile_plan ?cache inst plan) ~k
+  mu_k_compiled ?jobs ?guard (compile_plan ?cache inst plan) ~k
 
 let mu_k_series_plan ?jobs ?guard ?cache inst plan ~ks =
   let cp = compile_plan ?cache inst plan in
-  List.map (fun k -> (k, mu_k_compiled ?jobs ?guard ?cache cp ~k)) ks
+  List.map (fun k -> (k, mu_k_compiled ?jobs ?guard cp ~k)) ks
 
 let supp_count_series_plan ?jobs ?guard ?cache inst plan ~ks =
   let cp = compile_plan ?cache inst plan in
-  List.map (fun k -> (k, supp_count_compiled ?jobs ?guard ?cache cp ~k)) ks
+  List.map (fun k -> (k, supp_count_compiled ?jobs ?guard cp ~k)) ks
 
 (* The monolithic sweep over V^k(D) of Q(ā). *)
 let whole_plan inst q tuple =

@@ -9,9 +9,9 @@
 
     The per-valuation check runs on the compiled kernel ({!Kernel}):
     the instance is split and indexed once ({!kernel_db}), the sentence
-    compiled once per pool domain ({!domain_checker}), and each
-    valuation only delta-refreshes the null images the previous one
-    did not share ([Kernel.holds_digits] fed by an
+    compiled once per pool chunk (a kernel's scratch belongs to the
+    chunk that runs it), and each valuation only delta-refreshes the
+    null images the previous one did not share ([Kernel.holds_digits] fed by an
     [Enumerate.odometer]). [sentence_in_support_naive] keeps the
     original complete-then-interpret path as the executable reference;
     the two agree on every input (property-tested, and re-verified
@@ -29,11 +29,12 @@
     - [?cache] — a {!cache} memoizing the kernel database and the
       evaluation verdicts across calls. Verdict memoization serves the
       {e repeated-valuation} paths (per-candidate class loops in
-      Certain, support-polynomial weights); the exhaustive sweeps of
-      {!count_satisfying} bypass it — every key of a sweep is distinct
-      by construction, so each lookup would be a guaranteed miss paying
-      the global cache mutex. A cache is tied to the instance it was
-      first used with — never reuse it across databases.
+      Certain, support-polynomial weights); the exhaustive sweeps use
+      only its kernel database — every key of a sweep is distinct by
+      construction, so each verdict lookup would be a guaranteed miss
+      paying the global cache mutex ({!count_satisfying} takes no
+      cache at all). A cache is tied to the instance it was first used
+      with — never reuse it across databases.
 
     A third knob, [?guard], is the cancellation hook of the query
     service: it is invoked at every valuation-chunk boundary
@@ -146,25 +147,11 @@ val checker : ?cache:cache -> Kernel.db -> Logic.Formula.t -> checker
 val check : checker -> Valuation.t -> bool
 (** [check (checker db φ) v = sentence_in_support (base db) φ v]. *)
 
-val domain_kernel : Kernel.db -> Logic.Formula.t -> Kernel.t
-(** The calling pool domain's compiled kernel for [(db, sentence)],
-    memoized in domain-local storage ({!Exec.Dls}): every chunk of a
-    parallel fold that lands on the same domain reuses one kernel's
-    scratch instead of compiling per chunk. The [db] is keyed
-    physically — hoist it once per loop. Kernels are single-threaded;
-    the domain-local key is what makes handing them out safe. *)
-
-val domain_checker : ?cache:cache -> Kernel.db -> Logic.Formula.t -> checker
-(** {!checker} on the calling domain's memoized kernel — for
-    repeated-valuation loops (class sweeps, per-candidate checks) that
-    want the verdict cache {e and} per-domain compile reuse. *)
-
 (** {1 Counting} *)
 
 val count_satisfying :
   ?jobs:int ->
   ?guard:(unit -> unit) ->
-  ?cache:cache ->
   db:Kernel.db ->
   sentence:Logic.Formula.t ->
   nulls:int list ->
@@ -176,12 +163,10 @@ val count_satisfying :
     and of the per-component counts of {!supp_count_plan}; exposed so
     the approximate engine can count small components exactly.
 
-    This is the odometer hot path: each pool chunk steps an in-place
-    digit array through its rank range and feeds it to
-    [Kernel.holds_digits] on the domain's memoized kernel. The verdict
-    cache is bypassed (each key occurs exactly once per sweep);
-    [?cache] is accepted so callers can thread one cache through mixed
-    workloads.
+    This is the odometer hot path: each pool chunk compiles its own
+    kernel, steps an in-place digit array through its rank range and
+    feeds it to [Kernel.holds_digits]. It takes no verdict cache: each
+    key occurs exactly once per sweep.
     @raise Arith.Bigint.Overflow if [k^|nulls|] exceeds [max_int]. *)
 
 val supp_count :

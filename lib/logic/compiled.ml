@@ -21,7 +21,7 @@ module Index = Relational.Index
 
    A compiled formula carries mutable scratch (environment, domain,
    guard buffers) and is therefore single-threaded; compiling is cheap,
-   so parallel code compiles one per domain. *)
+   so parallel code compiles one per chunk. *)
 
 type scan = {
   scan_rows : int;

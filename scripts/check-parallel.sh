@@ -8,6 +8,11 @@
 #     reference, or if a µ^k brute-force row sweeps ≠ k^3 valuations);
 #   - no kernel reports "identical": false in the emitted JSON
 #     (belt-and-braces re-check of the bench's own gate);
+#   - `bench --concurrent` gets no wrong answer: 8 threads send 64 000
+#     measure/conditional/certain requests with jobs 4 to one session
+#     store, and every response must be byte-identical to the jobs=1
+#     reference (no compiled kernel's scratch is shared between
+#     requests in flight);
 #   - on a multicore runner (recommended_domain_count ≥ 2), every
 #     jobs ∈ {2, 4} row reports speedup_vs_jobs1 ≥ PARALLEL_MIN_SPEEDUP
 #     (default 1.0): parallel fan-out must never lose to the same
@@ -31,6 +36,9 @@ dune build bench/main.exe
 
 echo "== bench identity smoke (digest gate vs naive reference) =="
 dune exec --no-build bench/main.exe -- --parallel --smoke --out "$OUT"
+
+echo "== concurrent requests on one session store vs the jobs=1 reference =="
+dune exec --no-build bench/main.exe -- --concurrent
 
 echo "== parallel rows: identical + jobs=2/4 speedup_vs_jobs1 >= $MIN_SPEEDUP =="
 awk -v min="$MIN_SPEEDUP" '

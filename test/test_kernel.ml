@@ -511,68 +511,6 @@ let test_digits_guards () =
         (Kernel.holds_digits kern (Array.make (List.length nulls) 0)))
 
 (* ------------------------------------------------------------------ *)
-(* Exec.Dls per-domain memo                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_dls_memoizes () =
-  let builds = ref 0 in
-  let memo = Exec.Dls.create ~eq:Int.equal () in
-  let get k =
-    Exec.Dls.find_or_add memo k ~mk:(fun () -> incr builds; k * 10)
-  in
-  check int_t "built" 10 (get 1);
-  check int_t "memoized" 10 (get 1);
-  check int_t "second key" 20 (get 2);
-  check int_t "one build per key" 2 !builds
-
-let test_dls_cap_evicts_oldest () =
-  let builds = ref 0 in
-  let memo = Exec.Dls.create ~cap:2 ~eq:Int.equal () in
-  let get k = Exec.Dls.find_or_add memo k ~mk:(fun () -> incr builds; k) in
-  ignore (get 1); ignore (get 2); ignore (get 3);
-  (* 1 was evicted; 2 and 3 survive *)
-  check int_t "three builds" 3 !builds;
-  ignore (get 3); ignore (get 2);
-  check int_t "2 and 3 still cached" 3 !builds;
-  ignore (get 1);
-  check int_t "1 rebuilt after eviction" 4 !builds
-
-let test_dls_per_domain () =
-  (* each domain builds its own value — entries never cross domains *)
-  let memo = Exec.Dls.create ~eq:Int.equal () in
-  let mine () =
-    Exec.Dls.find_or_add memo 0 ~mk:(fun () -> Domain.self ())
-  in
-  let here = mine () in
-  check bool_t "stable on caller" true (here = mine ());
-  let d = Domain.spawn (fun () -> mine ()) in
-  let there = Domain.join d in
-  check bool_t "distinct per domain" false (here = there)
-
-let test_dls_backs_domain_kernel () =
-  let inst = gen_instance (state 11) ~with_nulls:true in
-  let s = gen_formula (state 11) ~vars:[] ~depth:2 ~with_nulls:false in
-  let db = Kernel.db_of_instance inst in
-  let k1 = Support.domain_kernel db s in
-  let k2 = Support.domain_kernel db s in
-  check bool_t "same kernel on one domain" true (k1 == k2);
-  (* the memo keys by instance generation, not physical identity: a
-     rebuilt db of the same instance shares the kernel (the stale-hit
-     bug was the converse — equal-looking dbs of different states
-     colliding), while a genuinely updated instance gets its own *)
-  let db' = Kernel.db_of_instance inst in
-  check bool_t "rebuilt db of same instance, same kernel" true
-    (Support.domain_kernel db' s == k1);
-  let inst2 =
-    Instance.add_tuple "R"
-      (Tuple.of_list [ Value.const 97; Value.const 98 ])
-      inst
-  in
-  let db2 = Kernel.db_of_instance inst2 in
-  check bool_t "updated instance, distinct kernel" false
-    (Support.domain_kernel db2 s == k1)
-
-(* ------------------------------------------------------------------ *)
 (* Guarded quantifier blocks: fixed cases                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -959,14 +897,6 @@ let () =
           Alcotest.test_case "≡ naive (randomized)" `Quick
             test_digits_randomized;
           Alcotest.test_case "guards" `Quick test_digits_guards
-        ] );
-      ( "dls",
-        [ Alcotest.test_case "memoizes per key" `Quick test_dls_memoizes;
-          Alcotest.test_case "cap evicts oldest" `Quick
-            test_dls_cap_evicts_oldest;
-          Alcotest.test_case "per-domain isolation" `Quick test_dls_per_domain;
-          Alcotest.test_case "backs Support.domain_kernel" `Quick
-            test_dls_backs_domain_kernel
         ] );
       ( "pool-queue",
         [ Alcotest.test_case "folds reuse workers" `Quick test_pool_queue_fold;

@@ -4,7 +4,7 @@
    of single-tuple updates, every answer must be bit-identical to what
    a session rebuilt from scratch on the updated database computes,
    for any --jobs. A stale cache entry anywhere (verdicts, kernel dbs,
-   per-domain kernels, chase memos) shows up as a divergence here. *)
+   chase memos) shows up as a divergence here. *)
 
 module Instance = Relational.Instance
 module Relation = Relational.Relation
