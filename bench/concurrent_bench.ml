@@ -3,11 +3,11 @@
 
    Eight systhreads call Service.handle ~jobs:4 directly — no socket —
    on one shared Session store, the way the daemon's worker threads
-   do. The mix is the measure, conditional and certain requests of the
-   serving benchmark's [interactive] and [sweep] workloads, several of
-   them on one session and one sentence, so concurrent requests
-   evaluate the same (db, sentence) pairs. Each response must equal
-   the line Service.handle ~jobs:1 produces on a fresh store. A
+   do. The mix is the measure, conditional, certain and approx requests
+   of the serving benchmark's [interactive] and [sweep] workloads,
+   several of them on one session and one sentence, so concurrent
+   requests evaluate the same (db, sentence) pairs. Each response must
+   equal the line Service.handle ~jobs:1 produces on a fresh store. A
    compiled kernel whose scratch is reachable from two requests at
    once shows up here as a wrong count.
 
@@ -67,7 +67,12 @@ let mix =
           ("query", "Q() := exists x. exists y. R(x,y) & S(x,y)")
         ]);
     req "interactive-certain" "certain"
-      (interactive @ [ ("query", "Q(x,y) := R(x,y) & !S(x,y)") ])
+      (interactive @ [ ("query", "Q(x,y) := R(x,y) & !S(x,y)") ]);
+    req "interactive-approx" "approx"
+      (interactive
+      @ [ ("query", "Q() := exists x. R(x,x) | S(x,x)"); ("k", "8");
+          ("eps", "1/4"); ("delta", "1/4"); ("seed", "7")
+        ])
   ]
 
 let run () =

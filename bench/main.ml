@@ -391,10 +391,9 @@ let pk_certain ~jobs () =
   digest_rel (Incomplete.Certain.certain_answers ~jobs d q)
 
 (* A universally quantified Boolean query: each verdict costs a full
-   |dom|^2 evaluation sweep (no existential short-circuit), which is
-   what makes memoizing verdicts worthwhile. The µ^k spaces are nested
-   (V^4 ⊆ V^6 ⊆ …), so with a shared cache every verdict of a smaller
-   k is a hit at the larger ones. *)
+   |dom|^2 evaluation sweep (no existential short-circuit). The cached
+   variant shares one kernel db across the whole series; no variant
+   memoizes verdicts, so the two rows differ by the db builds alone. *)
 let series_query =
   lazy
     (Parser.query_exn

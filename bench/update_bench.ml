@@ -7,20 +7,20 @@
    answers, the µ^k series, and the chase-backed conditional value —
    must be much cheaper than handing the server the updated database
    text and letting it rebuild the session from scratch (re-parse,
-   re-split, re-index, re-chase, cold verdict cache).
+   re-split, re-index, re-chase).
 
    Both sides answer the same three queries after every step of the
    same update sequence, and every answer string must be byte-equal
    between the live session and the rebuilt one; any divergence is a
-   stale cache (kernel db, verdict epoch, chase memo) and the bench
+   stale cache (kernel db, chase memo) and the bench
    FATALs, exactly like the --parallel digest gate.
 
    The update mix is deliberately the common case the delta machinery
    targets: mutations hit the big ground relation R while the small
    null-carrying relation S (and the FD set on it) stay put, so the
-   epoch-keyed verdicts over S and the resumed chase survive every
-   step on the live side, while the rebuilt side pays for everything
-   each time. Mixed-relation sequences are correctness-tested in
+   delta-maintained kernel db and the resumed chase survive every step
+   on the live side, while the rebuilt side pays for everything each
+   time. Mixed-relation sequences are correctness-tested in
    test/test_update.ml; this file is the performance gate. *)
 
 module Instance = Relational.Instance
@@ -111,8 +111,7 @@ let gen_pairs st ~rows ~updates =
 
 (* Alternating insert/delete of the same fresh tuple keeps the model
    at [rows] tuples and — because every pool constant keeps occurring
-   elsewhere — keeps the active domain stable, which is what lets the
-   live side's adom-keyed verdicts survive. *)
+   elsewhere — keeps the active domain stable. *)
 let update_steps stream =
   List.concat_map
     (fun t -> [ (Session.Insert, t); (Session.Delete, t) ])
@@ -211,7 +210,7 @@ let best_of_passes run =
   go first (passes - 1)
 
 (* Live side: one store, one session; each step is Session.update plus
-   the three re-answers, against warm generation/epoch-keyed caches. *)
+   the three re-answers, against warm generation-keyed caches. *)
 let run_live ~db0 steps =
   let store = Session.create () in
   let entry = get_exn store ~db:db0 in
@@ -234,8 +233,8 @@ let run_live ~db0 steps =
   { total_s = Unix.gettimeofday () -. t0; digests = List.rev !digests }
 
 (* Rebuild side: every step hands a fresh store the re-rendered
-   database text — parse, split, index, chase and verdict sweep all
-   run from zero. Rendering happens before the clock starts: the
+   database text — parse, split, index, chase and evaluation all run
+   from zero. Rendering happens before the clock starts: the
    rebuild cost charged here is the server's, not the client's
    string-building. *)
 let run_rebuild ~base_rows steps =

@@ -152,13 +152,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let no_cache_arg =
-  let doc =
-    "Disable the evaluation cache (completed instances and per-valuation \
-     verdicts are then recomputed from scratch every time)."
-  in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
 let strict_arg =
   let doc =
     "Treat static-analysis errors as fatal: exit with a nonzero status \
@@ -210,8 +203,6 @@ let with_obs ~metrics ~metrics_json ~trace f =
   end
 
 let jobs_opt n = if n <= 0 then None else Some n
-let cache_opt no_cache =
-  if no_cache then None else Some (Incomplete.Support.create_cache ())
 
 let load_schema s = or_die (Parser.schema (read_input s))
 let load_db schema s = or_die (Parser.instance schema (read_input s))
@@ -302,16 +293,17 @@ let naive_cmd =
     Term.(const run $ schema_arg $ db_arg $ query_arg)
 
 let certain_cmd =
-  let run schema db query jobs no_cache strict metrics metrics_json trace =
+  let run schema db query jobs strict metrics metrics_json trace =
     with_obs ~metrics ~metrics_json ~trace @@ fun () ->
     with_context schema db query (fun sch inst q ->
         precheck ~strict sch inst q;
-        let jobs = jobs_opt jobs and cache = cache_opt no_cache in
+        let jobs = jobs_opt jobs
+        and cache = Incomplete.Support.create_cache () in
         Printf.printf "query: %s\n\n" (Query.to_string q);
         print_relation "certain answers"
-          (Incomplete.Certain.certain_answers ?jobs ?cache inst q);
+          (Incomplete.Certain.certain_answers ?jobs ~cache inst q);
         print_relation "possible answers"
-          (Incomplete.Certain.possible_answers ?jobs ?cache inst q);
+          (Incomplete.Certain.possible_answers ?jobs ~cache inst q);
         print_relation "naive answers" (Incomplete.Naive.answers inst q))
   in
   let doc =
@@ -319,8 +311,8 @@ let certain_cmd =
      of nulls)."
   in
   Cmd.v (Cmd.info "certain" ~doc)
-    Term.(const run $ schema_arg $ db_arg $ query_arg $ jobs_arg $ no_cache_arg
-          $ strict_arg $ metrics_arg $ metrics_json_arg $ trace_arg)
+    Term.(const run $ schema_arg $ db_arg $ query_arg $ jobs_arg $ strict_arg
+          $ metrics_arg $ metrics_json_arg $ trace_arg)
 
 (* The exact pipeline's typed refusals, as diagnostics with exit 2. *)
 let pipeline_or_die = function
@@ -386,11 +378,12 @@ let print_exact_series ~census ~label ~cell inst target route ks =
     series
 
 let measure_cmd =
-  let run schema db query tuple ks approx seed stratify no_decomp jobs
-      no_cache strict metrics metrics_json trace =
+  let run schema db query tuple ks approx seed stratify no_decomp jobs strict
+      metrics metrics_json trace =
     with_obs ~metrics ~metrics_json ~trace @@ fun () ->
     with_context schema db query (fun sch inst q ->
-        let jobs = jobs_opt jobs and cache = cache_opt no_cache in
+        let jobs = jobs_opt jobs
+        and cache = Incomplete.Support.create_cache () in
         let approx = parse_approx approx in
         let tuple = answer_tuple q tuple in
         precheck ~tuple ~strict sch inst q;
@@ -430,7 +423,7 @@ let measure_cmd =
                 List.iter
                   (fun k ->
                     let r =
-                      AE.mu_k_plan ?jobs ?cache inst plan ~k ~eps ~delta ~seed
+                      AE.mu_k_plan ?jobs inst plan ~k ~eps ~delta ~seed
                     in
                     Printf.printf
                       "  k = %3d   µ^k ≈ %-12s (%.6f)   CI [%s, %s]   (%d \
@@ -450,7 +443,7 @@ let measure_cmd =
                 List.iter
                   (fun k ->
                     let r =
-                      AE.mu_k ?jobs ?cache ~stratify inst q tuple ~k ~eps
+                      AE.mu_k ?jobs ~cache ~stratify inst q tuple ~k ~eps
                         ~delta ~seed
                     in
                     Printf.printf
@@ -479,15 +472,15 @@ let measure_cmd =
   Cmd.v (Cmd.info "measure" ~doc)
     Term.(const run $ schema_arg $ db_arg $ query_arg $ tuple_arg $ ks_arg
           $ approx_arg $ seed_arg $ stratify_arg $ no_decomp_arg $ jobs_arg
-          $ no_cache_arg $ strict_arg $ metrics_arg $ metrics_json_arg
-          $ trace_arg)
+          $ strict_arg $ metrics_arg $ metrics_json_arg $ trace_arg)
 
 let conditional_cmd =
-  let run schema db query cstr tuple ks no_decomp jobs no_cache strict metrics
+  let run schema db query cstr tuple ks no_decomp jobs strict metrics
       metrics_json trace =
     with_obs ~metrics ~metrics_json ~trace @@ fun () ->
     with_context schema db query (fun sch inst q ->
-        let jobs = jobs_opt jobs and cache = cache_opt no_cache in
+        let jobs = jobs_opt jobs
+        and cache = Incomplete.Support.create_cache () in
         let deps = load_constraints sch cstr in
         let sigma = Constraints.Dependency.set_to_formula sch deps in
         let tuple = answer_tuple q tuple in
@@ -501,7 +494,7 @@ let conditional_cmd =
           deps;
         let report =
           pipeline_or_die
-            (Pipeline.conditional ?jobs ?cache ~sigma inst q tuple)
+            (Pipeline.conditional ?jobs ~cache ~sigma inst q tuple)
         in
         Printf.printf "|Supp^k(Σ∧Q)| = %s\n"
           (P.to_string report.Zeroone.Conditional.numerator);
@@ -534,8 +527,8 @@ let conditional_cmd =
   in
   Cmd.v (Cmd.info "conditional" ~doc)
     Term.(const run $ schema_arg $ db_arg $ query_arg $ constraints_arg
-          $ tuple_arg $ ks_arg $ no_decomp_arg $ jobs_arg $ no_cache_arg
-          $ strict_arg $ metrics_arg $ metrics_json_arg $ trace_arg)
+          $ tuple_arg $ ks_arg $ no_decomp_arg $ jobs_arg $ strict_arg
+          $ metrics_arg $ metrics_json_arg $ trace_arg)
 
 let best_cmd =
   let run schema db query tuple tuple2 =
@@ -814,7 +807,7 @@ let analyze_cmd =
   let doc =
     "Statically analyze a query (and optionally constraints) without \
      evaluating anything: tightest fragment (CQ/UCQ/Pos∀G/FO), \
-     safety/range-restriction and genericity verdicts, schema conformance, \
+     safety/range-restriction and genericity checks, schema conformance, \
      constraint class, the k^m valuation-space cost bound, and the \
      paper-backed dispatch consequences — with stable diagnostic codes, as \
      text or JSON. With --strict, exit nonzero when errors are found (the \

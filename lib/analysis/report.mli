@@ -1,5 +1,5 @@
 (** The aggregate static-analysis report: one call runs every check and
-    bundles verdicts, dispatch consequences and diagnostics, with text
+    bundles its findings, dispatch consequences and diagnostics, with text
     and JSON renderers. This is what the [analyze] CLI subcommand and
     the pre-evaluation gate of [certain]/[measure]/[conditional]
     consume. *)
@@ -36,7 +36,7 @@ val all_diags : t -> Diag.t list
 (** Checks and hints together, sorted. *)
 
 val to_text : t -> string
-(** The human-facing report (fragment, verdicts, cost bound,
+(** The human-facing report (fragment, check results, cost bound,
     diagnostics, dispatch). *)
 
 val to_json : t -> string

@@ -119,10 +119,10 @@ let draw_uniform ~rng ~nulls ~k ~space =
    Sample index i draws from its own (seed, i) stream, so the counts
    are independent of the chunk partition; int subtotals are summed in
    chunk order — bit-identical for any ?jobs, guarded or not. *)
-let count_hits ?jobs ?guard ?cache ~db ~sentences ~nulls ~k ~space ~seed ~base n =
+let count_hits ?jobs ?guard ~db ~sentences ~nulls ~k ~space ~seed ~base n =
   let nsent = List.length sentences in
   let chunk lo hi =
-    let checkers = List.map (fun s -> Support.checker ?cache db s) sentences in
+    let checkers = List.map (Support.checker db) sentences in
     let hits = Array.make nsent 0 in
     for i = lo to hi - 1 do
       let rng = Srng.stream ~seed ~index:(base + i) in
@@ -239,7 +239,7 @@ let draw_stratum ~rng ~nulls_arr ~anchors ~k ~a ~free ~j =
     nulls_arr;
   Valuation.of_list (List.rev !bindings)
 
-let stratified_pass ?jobs ?guard ?cache ~db ~sentence ~anchors_all ~nulls ~k
+let stratified_pass ?jobs ?guard ~db ~sentence ~anchors_all ~nulls ~k
     ~eps ~seed ~base n =
   let nulls_arr = Array.of_list nulls in
   let m = Array.length nulls_arr in
@@ -256,7 +256,7 @@ let stratified_pass ?jobs ?guard ?cache ~db ~sentence ~anchors_all ~nulls ~k
     List.fold_left
       (fun (acc, count, offset) s ->
         let chunk lo hi =
-          let chk = Support.checker ?cache db sentence in
+          let chk = Support.checker db sentence in
           let hits = ref 0 in
           for i = lo to hi - 1 do
             let rng = Srng.stream ~seed ~index:(base + offset + i) in
@@ -307,7 +307,7 @@ let mu_k ?jobs ?guard ?cache ?(stratify = false) inst q tuple ~k ~eps ~delta
   let db = Support.kernel_db ?cache inst in
   let space = Enumerate.space_size ~nulls ~k in
   let hits =
-    (count_hits ?jobs ?guard ?cache ~db ~sentences:[ sentence ] ~nulls ~k
+    (count_hits ?jobs ?guard ~db ~sentences:[ sentence ] ~nulls ~k
        ~space ~seed ~base:0 n).(0)
   in
   let estimate = R.of_ints hits n in
@@ -316,7 +316,7 @@ let mu_k ?jobs ?guard ?cache ?(stratify = false) inst q tuple ~k ~eps ~delta
     else
       let anchors_all = Support.anchor_set_sentences inst [ sentence ] in
       Some
-        (stratified_pass ?jobs ?guard ?cache ~db ~sentence ~anchors_all ~nulls
+        (stratified_pass ?jobs ?guard ~db ~sentence ~anchors_all ~nulls
            ~k ~eps ~seed ~base:n n)
   in
   { estimate;
@@ -359,7 +359,7 @@ type factored = {
   f_delta : R.t;
 }
 
-let mu_k_plan ?jobs ?guard ?cache inst plan ~k ~eps ~delta ~seed =
+let mu_k_plan ?jobs ?guard inst plan ~k ~eps ~delta ~seed =
   if k < 1 then invalid_arg "Estimator.mu_k_plan: k must be >= 1";
   check_prob "eps" eps;
   check_prob "delta" delta;
@@ -397,9 +397,8 @@ let mu_k_plan ?jobs ?guard ?cache inst plan ~k ~eps ~delta ~seed =
     List.fold_left
       (fun (est, lo, hi, samples, parts, base) (c, space, exact) ->
         let nulls = c.Factor.c_nulls in
-        (* One kernel per component restriction — deliberately not the
-           unit-keyed [kernel_db] cache, which is tied to the
-           monolithic instance. *)
+        (* One kernel db per component restriction: a {!Support.cache}
+           is tied to the monolithic instance. *)
         let db =
           Kernel.db_of_instance
             (Factor.restricted_instance inst c.Factor.c_relations)
@@ -422,7 +421,7 @@ let mu_k_plan ?jobs ?guard ?cache inst plan ~k ~eps ~delta ~seed =
              components ever share a stream and the whole figure is
              reproducible for any ?jobs. *)
           let hits =
-            (count_hits ?jobs ?guard ?cache ~db ~sentences:[ sentence ] ~nulls
+            (count_hits ?jobs ?guard ~db ~sentences:[ sentence ] ~nulls
                ~k ~space ~seed ~base n_i).(0)
           in
           let p = R.of_ints hits n_i in
@@ -477,7 +476,7 @@ let mu_cond_k ?jobs ?guard ?cache ~sigma inst q tuple ~k ~eps ~delta ~seed =
   let db = Support.kernel_db ?cache inst in
   let space = Enumerate.space_size ~nulls ~k in
   let hits =
-    count_hits ?jobs ?guard ?cache ~db ~sentences:[ both; sigma ] ~nulls ~k
+    count_hits ?jobs ?guard ~db ~sentences:[ both; sigma ] ~nulls ~k
       ~space ~seed ~base:0 n
   in
   let num = hits.(0) and den = hits.(1) in

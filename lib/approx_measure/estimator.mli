@@ -115,7 +115,6 @@ type factored = {
 val mu_k_plan :
   ?jobs:int ->
   ?guard:(unit -> unit) ->
-  ?cache:Incomplete.Support.cache ->
   Relational.Instance.t ->
   Incomplete.Factor.plan ->
   k:int ->

@@ -79,8 +79,7 @@ let mu_cond_k ?jobs ?guard ?cache ~sigma inst q tuple ~k =
   let db = Support.kernel_db ?cache inst in
   (* The exhaustive sweep: each chunk compiles its own Σ and Q(ā)
      kernels, steps one odometer through its rank range and feeds their
-     digit fast path — an answer check only when Σ holds, and no
-     verdict-cache traffic (every key of the sweep is distinct). Bigint
+     digit fast path — an answer check only when Σ holds. Bigint
      partial sums are exact, so any chunking gives the sequential
      pair. *)
   let num, den =

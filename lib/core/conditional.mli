@@ -16,8 +16,8 @@
     denominator together, in one chunked pass — on parallel domains
     ({!Exec.Pool}); all accumulation is exact bigint/rational
     arithmetic, so results are identical for any [jobs]. [?cache]
-    shares an {!Incomplete.Support.cache} of completed instances and
-    evaluation verdicts across calls on the same database. *)
+    shares the kernel database of an {!Incomplete.Support.cache}
+    across calls on the same database. *)
 
 type report = {
   numerator : Arith.Poly.t;  (** [|Supp^k(Σ ∧ Q(ā), D)|] *)

@@ -39,7 +39,7 @@ let census_key ~anchor_set =
 (* Both constructors fold one pass over the equivalence classes,
    tallying the satisfying classes of each sentence/predicate by census
    key in a plain int array. The class list is carved into contiguous
-   chunks on pool domains; each chunk calls [mk_verdicts ()] to build
+   chunks on pool domains; each chunk calls [mk_checks ()] to build
    its own checkers, so mutable evaluation state (the compiled kernels,
    single-threaded) belongs to one chunk and is never shared, whether
    with another domain or with a concurrent request on the same one.
@@ -51,7 +51,7 @@ let census_key ~anchor_set =
    guard call before each chunk, each chunk polls [guard] every 256
    classes: a deadline cancels the pass promptly. *)
 let sum_over_classes ?jobs ?guard ~anchor_set ~nulls ~width classes
-    mk_verdicts =
+    mk_checks =
   Obs.Trace.span "support_poly.sum"
     ~attrs:[ ("classes", string_of_int (List.length classes)) ]
   @@ fun () ->
@@ -61,7 +61,7 @@ let sum_over_classes ?jobs ?guard ~anchor_set ~nulls ~width classes
   let poll = match guard with Some g -> g | None -> ignore in
   Exec.Pool.fold_list ?jobs ?guard ~min_work:8
     ~chunk:(fun chunk ->
-      let verdicts = mk_verdicts () in
+      let checks = mk_checks () in
       let tallies = zero () in
       List.iteri
         (fun i cls ->
@@ -69,7 +69,7 @@ let sum_over_classes ?jobs ?guard ~anchor_set ~nulls ~width classes
           let slot = key cls in
           List.iter2
             (fun tally holds -> if holds then tally.(slot) <- tally.(slot) + 1)
-            tallies (verdicts cls))
+            tallies (checks cls))
         chunk;
       tallies)
     ~combine:(List.map2 (Array.map2 ( + )))
@@ -121,15 +121,11 @@ let of_sentences ?jobs ?guard ?cache inst sentences =
       (Split.nulls split @ List.concat_map Formula.nulls sentences)
   in
   let classes = Classes.enumerate ~anchor_set ~nulls in
-  (* Class representatives repeat across calls (and across the two
-     sentences of a conditional report), so the verdict cache stays
-     on; each chunk compiles the kernels behind its own checkers. *)
+  (* Each chunk compiles the kernels behind its own checkers. *)
   make ~anchor_set ~nulls
     (sum_over_classes ?jobs ?guard ~anchor_set ~nulls ~width:sentences
        classes (fun () ->
-         let checkers =
-           List.map (fun s -> Support.checker ?cache db s) sentences
-         in
+         let checkers = List.map (Support.checker db) sentences in
          fun cls ->
            let v = Classes.representative ~anchor_set cls in
            List.map (fun chk -> Support.check chk v) checkers))

@@ -46,8 +46,9 @@ val of_sentences :
     are integers added element-wise, so the result is identical to the
     sequential one for any [jobs]. [?guard] is the cancellation hook of
     {!Exec.Pool.fold_list}, also polled every 256 classes within a
-    chunk; when it raises, the pass is abandoned. [?cache] memoizes the
-    completed representatives and verdicts across calls. *)
+    chunk; when it raises, the pass is abandoned. [?cache] shares the
+    kernel database (split + indexes) across calls on the same
+    instance. *)
 
 val of_sentence :
   ?jobs:int ->

@@ -67,32 +67,3 @@ let stats t =
         entries = Hashtbl.length t.table;
         evictions = t.evictions
       })
-
-let remove_matching t pred =
-  Mutex.protect t.lock (fun () ->
-      let victims =
-        Hashtbl.fold
-          (fun k _ acc -> if pred k then k :: acc else acc)
-          t.table []
-      in
-      List.iter (Hashtbl.remove t.table) victims;
-      (* Keep the FIFO queue in sync with the table so later capped
-         evictions never pop keys that are already gone. *)
-      (match t.max_entries with
-      | None -> ()
-      | Some _ ->
-          let keep = Queue.create () in
-          Queue.iter
-            (fun k -> if Hashtbl.mem t.table k then Queue.add k keep)
-            t.order;
-          Queue.clear t.order;
-          Queue.transfer keep t.order);
-      List.length victims)
-
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.table;
-      Queue.clear t.order;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)

@@ -32,13 +32,4 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     both compute it (the first store wins), which is harmless for the
     pure evaluations cached here. *)
 
-val remove_matching : ('k, 'v) t -> ('k -> bool) -> int
-(** Remove every entry whose key satisfies the predicate, returning
-    how many were dropped. Runs under the cache lock (the predicate
-    must be pure and fast); the eviction queue is filtered in the same
-    critical section. The tool of {e precise invalidation}: a mutation
-    path drops exactly the memoized results its update could have
-    changed and leaves the rest warm. *)
-
 val stats : _ t -> stats
-val clear : _ t -> unit

@@ -9,7 +9,7 @@ let all_nulls_split split tuple =
 
 (* Short-circuiting check: certainty needs every class to witness, so
    stop at the first refuting class (possibility dually at the first
-   witnessing one) instead of materializing all verdicts. The metric
+   witnessing one) instead of checking every class. The metric
    counts each early stop that actually skipped at least one item. *)
 let rec for_all_sc p = function
   | [] -> true
@@ -31,24 +31,22 @@ let rec exists_sc p = function
       end
       else exists_sc p rest
 
-let check_candidate ?cache ~all db q tuple =
+let check_candidate ~all db q tuple =
   let split = Kernel.split db in
   let sentence = Query.instantiate q tuple in
   let anchor_set = Support.anchor_set_sentences_split split [ sentence ] in
   let nulls = all_nulls_split split tuple in
-  (* Class representatives repeat across probes of the same (db, Q(ā))
-     — a server session re-asking, a test loop — so the verdict cache
-     stays on; the kernel is compiled for this call alone. *)
-  let chk = Support.checker ?cache db sentence in
+  (* The kernel is compiled for this call alone. *)
+  let chk = Support.checker db sentence in
   let verdict c = Support.check chk (Classes.representative ~anchor_set c) in
   let classes = Classes.enumerate ~anchor_set ~nulls in
   if all then for_all_sc verdict classes else exists_sc verdict classes
 
 let is_certain ?cache inst q tuple =
-  check_candidate ?cache ~all:true (Support.kernel_db ?cache inst) q tuple
+  check_candidate ~all:true (Support.kernel_db ?cache inst) q tuple
 
 let is_possible ?cache inst q tuple =
-  check_candidate ?cache ~all:false (Support.kernel_db ?cache inst) q tuple
+  check_candidate ~all:false (Support.kernel_db ?cache inst) q tuple
 
 let candidates inst m =
   List.map Tuple.of_list (Arith.Combinat.tuples (Instance.adom inst) m)
@@ -90,7 +88,7 @@ let filter_candidates ?jobs ?guard ?cache ~all inst q =
       for i = lo to hi - 1 do
         (* Every candidate has its own instantiated sentence, compiled
            once, inside the chunk that checks it. *)
-        let chk = Support.checker ?cache db (Query.instantiate q cands.(i)) in
+        let chk = Support.checker db (Query.instantiate q cands.(i)) in
         let keep =
           if all then for_all_sc (Support.check chk) representatives
           else exists_sc (Support.check chk) representatives
@@ -132,7 +130,7 @@ let sentence_classes ?cache inst sentence =
   let nulls =
     List.sort_uniq Int.compare (Split.nulls split @ Formula.nulls sentence)
   in
-  let chk = Support.checker ?cache db sentence in
+  let chk = Support.checker db sentence in
   List.map
     (fun c -> Support.check chk (Classes.representative ~anchor_set c))
     (Classes.enumerate ~anchor_set ~nulls)
@@ -147,9 +145,7 @@ let is_possible_sentence ?cache inst sentence =
    across components (they assign nulls independently), so
    ∀v.φ[v] ⟺ ∧ⱼ ∀vⱼ.φⱼ[vⱼ] and ∃v.φ[v] ⟺ ∧ⱼ ∃vⱼ.φⱼ[vⱼ] for a sound
    plan. Each component runs the class machinery on its own kernel
-   restriction — and on its own fresh cache: the shared Support cache
-   pins one kernel db per instance, which would be wrong across
-   restrictions. *)
+   restriction. *)
 let component_instances inst (plan : Factor.plan) =
   List.map
     (fun (c : Factor.component) ->
@@ -158,12 +154,10 @@ let component_instances inst (plan : Factor.plan) =
 
 let is_certain_sentence_plan inst plan =
   List.for_all
-    (fun (restricted, sentence) ->
-      is_certain_sentence ~cache:(Support.create_cache ()) restricted sentence)
+    (fun (restricted, sentence) -> is_certain_sentence restricted sentence)
     (component_instances inst plan)
 
 let is_possible_sentence_plan inst plan =
   List.for_all
-    (fun (restricted, sentence) ->
-      is_possible_sentence ~cache:(Support.create_cache ()) restricted sentence)
+    (fun (restricted, sentence) -> is_possible_sentence restricted sentence)
     (component_instances inst plan)

@@ -15,9 +15,9 @@
     The answer sweeps take [?jobs] to check candidate tuples on
     parallel domains (each candidate is independent; chunk results are
     merged by set union, so the answer set is identical for any
-    [jobs]), and [?cache] to share one {!Support.cache} across all
-    candidates — the class representatives recur from candidate to
-    candidate, so their completed instances [v(D)] are computed once.
+    [jobs]), and [?cache] to share the kernel database (split +
+    indexes) through a {!Support.cache} with other calls on the same
+    instance.
     [?guard] is called at candidate-chunk boundaries and cancels the
     sweep by raising (the query service's deadline hook). *)
 
@@ -80,7 +80,7 @@ val is_certain_sentence_plan :
   Relational.Instance.t -> Factor.plan -> bool
 (** Decomposition-aware certainty: each component of a sound plan is
     decided by {!is_certain_sentence} on its own kernel restriction
-    and the verdicts are conjoined — valuations assign nulls
+    and the answers are conjoined — valuations assign nulls
     independently, so the class sweeps shrink from the product of the
     component spaces to their sum. Agrees with {!is_certain_sentence}
     on the undecomposed sentence (property-tested). *)

@@ -306,8 +306,8 @@ let refresh_domain t =
   end
 
 let holds t v =
-  (* Refreshes are the misses of the verdict cache: requests minus
-     refreshes ≈ cache-served verdicts. *)
+  (* Every compiled support check is a refresh: requests minus
+     refreshes are the checks that took the naive path. *)
   Obs.Metrics.incr Obs.Metrics.kernel_refreshes;
   let m = Array.length t.knulls in
   (* Null images under v (raises like Valuation.instance would if a

@@ -39,7 +39,7 @@ val instance : db -> Relational.Instance.t
 
 val db_generation : db -> int
 (** The {!Relational.Instance.generation} stamp of the presented
-    instance. Caches key dbs and their compiled kernels by this stamp
+    instance. The kernel-db cache keys dbs by this stamp
     (equal stamps ⇒ the same instance value), so derived state can
     never outlive a mutation: a delta-updated db carries the fresh
     stamp of its new base instance. *)

@@ -20,55 +20,20 @@ let anchor_set_sentences_split split sentences =
     (Split.constants split @ List.concat_map Formula.constants sentences)
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation cache                                                    *)
+(* Kernel-db cache                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type cache = {
-  verdicts : (int * (int * int) list * Formula.t, bool) Exec.Cache.t;
-      (* (epoch, valuation bindings, sentence) ↦ v(D) ⊨ sentence[v].
-         The bindings sit early in the key: Hashtbl.hash only samples
-         the first few nodes, and the bindings are what distinguishes
-         the thousands of keys sharing one sentence. The epoch (below)
-         is what makes verdicts survive database updates soundly. *)
-  dbs : (int, Kernel.db) Exec.Cache.t;
-      (* instance generation ↦ its split + indexed form. Keyed by the
-         monotone Instance.generation stamp, so after a mutation the
-         new instance can never be served the old kernel db; a session
-         update pre-installs the delta-maintained db under the new
-         stamp ({!install_kernel_db}). Capped: old generations age
-         out. *)
-  (* Relation update epochs: how verdicts stay warm across updates.
-     Each relation's epoch counts the updates that touched it;
-     [adom_epoch] counts the updates that changed the instance's
-     constant or null set (the active domain quantifiers range over).
-     A sentence's verdicts are keyed under [sentence_epoch] = max of
-     its mentioned relations' epochs (plus [adom_epoch] if it
-     quantifies): an update bumps exactly the epochs it invalidates,
-     so verdicts of untouched sentences keep matching — precise
-     invalidation, and in-flight checkers of the old state can never
-     poison the new epoch's keys. *)
-  epochs : (string, int) Hashtbl.t;
-  mutable adom_epoch : int;
-  elock : Mutex.t;
-}
+type cache = { dbs : (int, Kernel.db) Exec.Cache.t }
+(* instance generation ↦ its split + indexed form. Keyed by the
+   monotone Instance.generation stamp, so after a mutation the new
+   instance can never be served the old kernel db; a session update
+   pre-installs the delta-maintained db under the new stamp
+   ({!install_kernel_db}). Capped: old generations age out. *)
 
-(* Verdict keys are (epoch, bindings, sentence) triples — one per
-   valuation per sentence — so a long µ^k series over a big space would
-   grow the table without bound. The cap makes the cache an LRU-ish
-   window (FIFO eviction) instead; 2^18 entries comfortably covers
-   every space the brute-force engine can sweep in reasonable time.
-   The dbs cache keeps the last few instance generations a session
-   passed through. *)
-let default_verdict_cap = 1 lsl 18
 let default_dbs_cap = 4
 
 let create_cache () =
-  { verdicts = Exec.Cache.create ~max_entries:default_verdict_cap ();
-    dbs = Exec.Cache.create ~size:8 ~max_entries:default_dbs_cap ();
-    epochs = Hashtbl.create 8;
-    adom_epoch = 0;
-    elock = Mutex.create ()
-  }
+  { dbs = Exec.Cache.create ~size:8 ~max_entries:default_dbs_cap () }
 
 let kernel_db ?cache inst =
   match cache with
@@ -81,98 +46,37 @@ let install_kernel_db c db =
   ignore
     (Exec.Cache.find_or_add c.dbs (Kernel.db_generation db) (fun () -> db))
 
-(* The epoch a sentence's verdicts are currently keyed under (0 until
-   the first relevant update). Quantified sentences range over the
-   active domain, so they additionally track [adom_epoch] — an update
-   inserting only already-present values leaves it, and them, alone. *)
-let sentence_epoch_of c sentence =
-  match c with
-  | None -> 0
-  | Some c ->
-      Mutex.protect c.elock (fun () ->
-          let e =
-            List.fold_left
-              (fun acc r ->
-                max acc (Option.value ~default:0 (Hashtbl.find_opt c.epochs r)))
-              0
-              (Formula.relations sentence)
-          in
-          if Formula.has_quantifier sentence then max e c.adom_epoch else e)
-
-let note_update c ~rels ~adom_changed =
-  Mutex.protect c.elock (fun () ->
-      List.iter
-        (fun r ->
-          Hashtbl.replace c.epochs r
-            (1 + Option.value ~default:0 (Hashtbl.find_opt c.epochs r)))
-        rels;
-      if adom_changed then c.adom_epoch <- c.adom_epoch + 1);
-  (* Precise invalidation: drop exactly the verdicts stranded on an
-     epoch the bump above retired — entries of sentences mentioning a
-     touched relation (or quantifying, when the domain changed). The
-     epoch key already guarantees they can never be served again; the
-     purge just frees their capacity for live entries. *)
-  ignore
-    (Exec.Cache.remove_matching c.verdicts (fun (e, _, sentence) ->
-         e < sentence_epoch_of (Some c) sentence))
-
 (* ------------------------------------------------------------------ *)
 (* Support checks                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [valuations_evaluated] counts verdict {e requests} — one per
-   valuation submitted to a support check, cache hit or not — so the
-   metric equals the size of the space swept. The raw helper below is
-   the uncounted computation shared by the counted entry points;
-   keeping the [incr] out of it prevents double counting when one
-   entry point delegates to another. *)
-let sentence_in_support_raw inst sentence v =
+(* [valuations_evaluated] counts verdict requests — one per valuation
+   submitted to a support check — so the metric equals the number of
+   valuations (or class representatives) evaluated. *)
+let sentence_in_support inst sentence v =
+  Obs.Metrics.incr Obs.Metrics.valuations_evaluated;
   let complete = Valuation.instance v inst in
   let concrete = Formula.map_values (Valuation.value v) sentence in
   Eval.sentence_holds complete concrete
 
-let sentence_in_support_naive inst sentence v =
-  Obs.Metrics.incr Obs.Metrics.valuations_evaluated;
-  sentence_in_support_raw inst sentence v
+let sentence_in_support_naive = sentence_in_support
 
-let sentence_in_support ?cache inst sentence v =
-  Obs.Metrics.incr Obs.Metrics.valuations_evaluated;
-  match cache with
-  | None -> sentence_in_support_raw inst sentence v
-  | Some c ->
-      Exec.Cache.find_or_add c.verdicts
-        (sentence_epoch_of cache sentence, Valuation.bindings v, sentence)
-        (fun () -> sentence_in_support_raw inst sentence v)
-
-let in_support ?cache inst q tuple v =
+let in_support inst q tuple v =
   if Tuple.arity tuple <> Query.arity q then
     invalid_arg "Support.in_support: arity mismatch"
-  else sentence_in_support ?cache inst (Query.instantiate q tuple) v
+  else sentence_in_support inst (Query.instantiate q tuple) v
 
 (* ------------------------------------------------------------------ *)
 (* Hoisted checkers: one kernel per loop, not one instance per check   *)
 (* ------------------------------------------------------------------ *)
 
-type checker = { kern : Kernel.t; cache : cache option; epoch : int }
-(* The epoch is sampled when the checker is hoisted, so every verdict
-   it stores is keyed to the database state it was compiled against —
-   a checker outliving an update keeps writing to its own (retired)
-   epoch and can never poison the post-update cache. *)
+type checker = Kernel.t
 
-let checker ?cache db sentence =
-  { kern = Kernel.compile db sentence;
-    cache;
-    epoch = sentence_epoch_of cache sentence
-  }
+let checker = Kernel.compile
 
-let check c v =
+let check kern v =
   Obs.Metrics.incr Obs.Metrics.valuations_evaluated;
-  match c.cache with
-  | None -> Kernel.holds c.kern v
-  | Some cc ->
-      Exec.Cache.find_or_add cc.verdicts
-        (c.epoch, Valuation.bindings v, Kernel.sentence c.kern)
-        (fun () -> Kernel.holds c.kern v)
+  Kernel.holds kern v
 
 (* ------------------------------------------------------------------ *)
 (* µ^k by (possibly parallel) enumeration                              *)
@@ -190,12 +94,6 @@ let all_nulls inst tuple =
    its own kernel, seeds an odometer at its first rank and runs the
    kernel's digit fast path — no Valuation.t, no allocation per
    valuation, and no scratch shared with any other chunk.
-
-   There is no verdict cache here: an exhaustive sweep visits every
-   key of the space exactly once, so each lookup would be a guaranteed
-   miss that pays the global cache mutex, hashes the bindings key, and
-   evicts verdicts the repeated-valuation paths (Certain /
-   Support_poly class loops) actually want.
 
    Per-chunk subcounts fit in [int] because the whole space does; they
    are summed as bigints in chunk order — bit-identical to the
@@ -236,7 +134,7 @@ let count_satisfying ?jobs ?guard ~db ~sentence ~nulls ~k () =
    runs on [kernel_db ?cache inst], cached per generation and
    delta-maintained across updates, instead of a rebuilt copy. The
    components of a real decomposition run on their own restrictions.
-   [?cache] serves only that kernel db: sweeps read no verdicts. *)
+   [?cache] serves only that kernel db. *)
 type compiled_plan = {
   cp_parts : (Kernel.db * Formula.t * int list) list;
       (* kernel db, component sentence, component nulls *)

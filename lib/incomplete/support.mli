@@ -26,15 +26,14 @@
       Defaults to {!Exec.Pool.default_jobs}; chunk subcounts are summed
       exactly in chunk order, so the result is bit-identical to the
       sequential count for any [jobs].
-    - [?cache] — a {!cache} memoizing the kernel database and the
-      evaluation verdicts across calls. Verdict memoization serves the
-      {e repeated-valuation} paths (per-candidate class loops in
-      Certain, support-polynomial weights); the exhaustive sweeps use
-      only its kernel database — every key of a sweep is distinct by
-      construction, so each verdict lookup would be a guaranteed miss
-      paying the global cache mutex ({!count_satisfying} takes no
-      cache at all). A cache is tied to the instance it was first used
-      with — never reuse it across databases.
+    - [?cache] — a {!cache} sharing the kernel database (split +
+      indexes) across calls on the same instance. Verdicts are not
+      memoized: the class and sampling paths evaluate each valuation
+      once per request and a sweep visits each valuation once, so a
+      verdict lookup would cost more than the kernel run it replaces.
+      A cache is tied to the
+      instance it was first used with — never reuse it across
+      databases.
 
     A third knob, [?guard], is the cancellation hook of the query
     service: it is invoked at every valuation-chunk boundary
@@ -55,25 +54,15 @@ val anchor_set_sentences_split : Split.t -> Logic.Formula.t list -> int list
     was built — for per-candidate loops that would otherwise re-fold
     the instance each time. *)
 
-(** {1 Evaluation cache} *)
+(** {1 Kernel-db cache} *)
 
 type cache
-(** Memoizes, behind mutexes (safe to share across pool domains): the
+(** Memoizes, behind a mutex (safe to share across pool domains), the
     kernel databases (split + indexes) of the last few instance
-    generations, and sentence verdicts keyed by
-    (epoch, bindings, sentence).
-
-    A cache follows a {e session} across single-tuple updates: the
-    kernel-db side is keyed by the monotone
-    {!Relational.Instance.generation} stamp (a mutated instance can
-    never be served a stale db), and the verdict side by a per-relation
-    {e update epoch} sampled when each checker is hoisted. An update
-    bumps the epochs of exactly the relations it touched (plus a
-    domain epoch when the constant/null set changed, which quantified
-    sentences also track), so verdicts of unaffected sentences stay
-    warm across updates while affected ones are retired — and an
-    in-flight checker of the old state keeps writing under its own
-    retired epoch, never poisoning post-update reads. *)
+    generations. Keyed by the monotone
+    {!Relational.Instance.generation} stamp, so a cache can follow a
+    {e session} across single-tuple updates: a mutated instance is
+    never served a stale db. *)
 
 val create_cache : unit -> cache
 
@@ -82,32 +71,16 @@ val kernel_db : ?cache:cache -> Relational.Instance.t -> Kernel.db
     built once per instance generation and shared by every subsequent
     loop on that cache. *)
 
-(** {1 Update hooks}
-
-    The session mutation path (lib/server) applies a single-tuple
-    delta to the kernel db ({!Kernel.db_insert}/[db_delete]) and then
-    tells the cache about it with these two calls; query paths need no
-    change — they pick the new state up through the generation and
-    epoch keys. *)
-
 val install_kernel_db : cache -> Kernel.db -> unit
-(** Seed the kernel-db memo with a (delta-maintained) db under its own
-    generation stamp, so the next query for that instance generation
-    reuses it instead of rebuilding from scratch. *)
-
-val note_update :
-  cache -> rels:string list -> adom_changed:bool -> unit
-(** Record that an update touched [rels] (bumping their epochs, plus
-    the domain epoch when the update changed the instance's
-    constant/null set) and purge the verdicts thereby retired.
-    Verdicts of sentences not mentioning a touched relation — and, for
-    an adom-preserving update, not quantifying — remain valid and are
-    kept. *)
+(** Seed the memo with a db under its own generation stamp. The
+    session mutation path (lib/server) applies a single-tuple delta to
+    the kernel db ({!Kernel.db_insert}/[db_delete]) and installs the
+    result, so the next query for that instance generation reuses it
+    instead of rebuilding from scratch. *)
 
 (** {1 Support checks} *)
 
 val in_support :
-  ?cache:cache ->
   Relational.Instance.t ->
   Logic.Query.t ->
   Relational.Tuple.t ->
@@ -118,17 +91,17 @@ val in_support :
     misses a null of [D] or [ā]. *)
 
 val sentence_in_support :
-  ?cache:cache ->
   Relational.Instance.t -> Logic.Formula.t -> Valuation.t -> bool
 (** [v(D) ⊨ φ[v]] for a sentence [φ] (whose nulls, if any, are replaced
-    through [v] as well). One-shot entry point; loops should hoist a
-    {!checker} instead. *)
+    through [v] as well), by the original uncompiled path: materialize
+    [v(D)], rewrite [φ[v]], interpret with {!Logic.Eval}. One-shot
+    entry point; loops should hoist a {!checker} instead. *)
 
 val sentence_in_support_naive :
   Relational.Instance.t -> Logic.Formula.t -> Valuation.t -> bool
-(** The original uncompiled path — materialize [v(D)], rewrite [φ[v]],
-    interpret with {!Logic.Eval}. Kept as the executable reference the
-    kernel is verified against (tests, bench identity checks). *)
+(** The same function as {!sentence_in_support}; the name marks the
+    call sites that use it as the executable reference the kernel is
+    verified against (tests, bench identity checks). *)
 
 (** {1 Hoisted checkers}
 
@@ -139,10 +112,9 @@ val sentence_in_support_naive :
 
 type checker
 
-val checker : ?cache:cache -> Kernel.db -> Logic.Formula.t -> checker
-(** Compile a sentence for repeated support checks; with [?cache],
-    verdicts are memoized under the same keys as
-    {!sentence_in_support}. @raise Invalid_argument on open formulas. *)
+val checker : Kernel.db -> Logic.Formula.t -> checker
+(** Compile a sentence for repeated support checks.
+    @raise Invalid_argument on open formulas. *)
 
 val check : checker -> Valuation.t -> bool
 (** [check (checker db φ) v = sentence_in_support (base db) φ v]. *)
@@ -165,8 +137,7 @@ val count_satisfying :
 
     This is the odometer hot path: each pool chunk compiles its own
     kernel, steps an in-place digit array through its rank range and
-    feeds it to [Kernel.holds_digits]. It takes no verdict cache: each
-    key occurs exactly once per sweep.
+    feeds it to [Kernel.holds_digits].
     @raise Arith.Bigint.Overflow if [k^|nulls|] exceeds [max_int]. *)
 
 val supp_count :

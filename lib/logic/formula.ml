@@ -107,13 +107,6 @@ let relations f =
   in
   List.sort String.compare (go [] f)
 
-let rec has_quantifier = function
-  | True | False | Atom _ | Eq _ -> false
-  | Exists _ | Forall _ -> true
-  | Not g -> has_quantifier g
-  | And (g, h) | Or (g, h) | Implies (g, h) ->
-      has_quantifier g || has_quantifier h
-
 let all_vars f =
   let rec go acc = function
     | True | False -> acc

@@ -58,15 +58,7 @@ val nulls : t -> int list
     instantiating free variables with null-carrying tuples). *)
 
 val relations : t -> string list
-(** Relation names appearing in atoms, sorted, deduplicated — the
-    relations a verdict for this formula can depend on directly (a
-    quantified formula additionally depends on the active domain of
-    the whole database; see {!has_quantifier}). *)
-
-val has_quantifier : t -> bool
-(** Whether any [Exists]/[Forall] occurs. Quantifier-free formulas are
-    insensitive to the active domain, so their verdicts survive
-    updates that only touch unmentioned relations. *)
+(** Relation names appearing in atoms, sorted, deduplicated. *)
 
 val subst : (string * term) list -> t -> t
 (** Capture-avoiding substitution of free variables. Bound variables

@@ -38,13 +38,13 @@ val add : t -> int -> unit
 
 val valuations_evaluated : t
 (** Support checks performed: one per valuation (or class
-    representative) whose verdict was requested, cache hits included. *)
+    representative) whose verdict was requested. *)
 
 val kernel_refreshes : t
 (** {!Incomplete.Kernel.holds} runs: per-valuation refreshes of the
     compiled kernel's null images / domain suffix / null tables.
-    [valuations_evaluated - kernel_refreshes ≈ verdicts served by the
-    cache or the naive path]. *)
+    [valuations_evaluated - kernel_refreshes] is the number of checks
+    that took the naive path. *)
 
 val short_circuits : t
 (** Certainty/possibility class sweeps that stopped before exhausting

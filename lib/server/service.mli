@@ -5,8 +5,9 @@
     [certain], [measure], [conditional], [analyze]; the exact path of
     [measure] and [conditional] is {!Zeroone.Pipeline} — against a shared
     {!Session} store; the [update] op mutates a session in place by
-    one tuple ({!Session.update}), with the kernel db, chase memos and
-    verdict cache maintained incrementally rather than rebuilt. It is deliberately transport-free: the daemon
+    one tuple ({!Session.update}), with the kernel db and chase memos
+    maintained incrementally rather than rebuilt. It is deliberately
+    transport-free: the daemon
     calls it from worker threads, and [bench --serve] calls it
     directly (with [jobs = 1] and a fresh store) to build the expected
     responses its identity gate compares against. All payload values

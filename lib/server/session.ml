@@ -3,7 +3,6 @@ module Instance = Relational.Instance
 module Tuple = Relational.Tuple
 module Support = Incomplete.Support
 module Kernel = Incomplete.Kernel
-module Split = Incomplete.Split
 module Chase = Constraints.Chase
 module Dependency = Constraints.Dependency
 
@@ -149,19 +148,8 @@ let apply entry ~action ~relation ~tuple =
               | Insert -> Kernel.db_insert db ~name:relation ~tuple
               | Delete -> Kernel.db_delete db ~name:relation ~tuple
             in
-            let adom_changed =
-              let split = Kernel.split db and split' = Kernel.split db' in
-              (not
-                 (List.equal Int.equal (Split.constants split)
-                    (Split.constants split')))
-              || not
-                   (List.equal Int.equal (Split.nulls split)
-                      (Split.nulls split'))
-            in
             let inst' = Kernel.instance db' in
             Support.install_kernel_db entry.cache db';
-            Support.note_update entry.cache ~rels:[ relation ]
-              ~adom_changed;
             (match action with
             | Insert when entry.chase_gen = Instance.generation inst ->
                 (* Advance every finished chase by resuming it with the

@@ -3,21 +3,20 @@
     A session is keyed by the literal (schema text, database text)
     pair of the request. The first request for a pair parses both and
     creates an {!Incomplete.Support.cache}; every later request for
-    the same pair — from any connection — shares the parsed instance,
-    the kernel database built inside the cache on first use, and the
-    capped verdict cache. This is what makes the server cheaper than
-    one CLI process per query: the [k^m]-sweep verdicts accumulate
-    across requests.
+    the same pair — from any connection — shares the parsed instance
+    and the kernel database (split + indexes) built inside the cache
+    on first use. This is what makes the server cheaper than one CLI
+    process per query: parsing, splitting and indexing are paid once
+    per session, not once per request. Verdicts are not memoized:
+    every request runs its compiled kernels.
 
     Sessions are {e mutable}: the [update] op applies a single-tuple
     insert or delete in place. The kernel database is delta-maintained
     ({!Incomplete.Kernel.db_insert}/[db_delete]) instead of rebuilt,
-    finished FD chases are resumed ({!Constraints.Chase.chase_inc})
-    instead of re-run, and the verdict cache is invalidated precisely
-    — only verdicts that could depend on the touched relation (or, for
-    a domain-changing update, on the active domain) are retired. The
-    session key stays the {e original} database text: the store is a
-    live instance seeded from that text, not a content hash.
+    and finished FD chases are resumed ({!Constraints.Chase.chase_inc})
+    instead of re-run. The session key stays the {e original} database
+    text: the store is a live instance seeded from that text, not a
+    content hash.
 
     Concurrency: an update swaps [entry.inst] under the entry's lock;
     a query takes one snapshot of [inst] and is internally consistent

@@ -283,14 +283,14 @@ let test_checker_cache_consistent () =
         List.sort_uniq Int.compare (Instance.nulls inst @ F.nulls s)
       in
       let cache = Support.create_cache () in
-      let chk = Support.checker ~cache (Support.kernel_db ~cache inst) s in
+      let chk = Support.checker (Support.kernel_db ~cache inst) s in
       for _ = 1 to 3 do
         let v = gen_valuation st nulls in
         let expect = Support.sentence_in_support_naive inst s v in
         check bool_t "checker cold" expect (Support.check chk v);
         check bool_t "checker warm" expect (Support.check chk v);
-        check bool_t "one-shot cached entry point" expect
-          (Support.sentence_in_support ~cache inst s v)
+        check bool_t "one-shot entry point" expect
+          (Support.sentence_in_support inst s v)
       done)
     (List.filteri (fun i _ -> i < 100) seeds)
 

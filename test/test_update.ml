@@ -3,8 +3,8 @@
    server's Session.update — is held to one oracle: after any sequence
    of single-tuple updates, every answer must be bit-identical to what
    a session rebuilt from scratch on the updated database computes,
-   for any --jobs. A stale cache entry anywhere (verdicts, kernel dbs,
-   chase memos) shows up as a divergence here. *)
+   for any --jobs. A stale cache entry anywhere (kernel dbs, chase
+   memos) shows up as a divergence here. *)
 
 module Instance = Relational.Instance
 module Relation = Relational.Relation
@@ -19,6 +19,7 @@ module Dependency = Constraints.Dependency
 module Session = Server.Session
 module Parser = Logic.Parser
 module Rat = Arith.Rat
+module AE = Approx_measure.Estimator
 
 let check = Alcotest.check
 
@@ -291,9 +292,9 @@ let apply_model model action name tuple =
     model
 
 (* After every update: the live session (delta-maintained kernel db,
-   epoch-invalidated verdict cache, resumed chase memo) must answer
-   certain / µ^k-series / conditional byte-identically to a session
-   freshly rebuilt from the updated database text, at every jobs. *)
+   resumed chase memo) must answer certain / µ^k-series / seeded
+   approx / conditional byte-identically to a session freshly rebuilt
+   from the updated database text, at every jobs. *)
 let oracle_one_seed ~jobs seed =
   let st = state seed in
   let model = ref [ ("R", gen_rows st 5 2); ("S", gen_rows st 3 1) ] in
@@ -329,7 +330,7 @@ let oracle_one_seed ~jobs seed =
     in
     check bool_t "live instance = reparsed instance" true
       (Instance.equal live fresh.Session.inst);
-    (* certain answers (class sweep through the verdict cache) *)
+    (* certain answers (class sweep on the session's kernel db) *)
     check string_t "certain answers identical"
       (rel_string
          (Incomplete.Certain.certain_answers ~jobs ~cache:fresh.Session.cache
@@ -345,6 +346,22 @@ let oracle_one_seed ~jobs seed =
       (series_string
          (Support.mu_k_series ~jobs ~cache:entry.Session.cache live q1
             Tuple.empty ~ks:[ 2; 3 ]));
+    (* seeded approx, plain and stratified samplers *)
+    let approx_string (e : AE.t) =
+      Printf.sprintf "%s %s %s %s" (Rat.to_string e.AE.estimate)
+        (Rat.to_string e.AE.ci_lo) (Rat.to_string e.AE.ci_hi)
+        (match e.AE.stratified with
+        | None -> "-"
+        | Some s -> Rat.to_string s.AE.s_estimate)
+    in
+    let approx (e : Session.entry) inst =
+      approx_string
+        (AE.mu_k ~jobs ~cache:e.Session.cache ~stratify:true inst q1
+           Tuple.empty ~k:5 ~eps:(Rat.of_ints 1 4) ~delta:(Rat.of_ints 1 4)
+           ~seed)
+    in
+    check string_t "seeded approx identical" (approx fresh fresh.Session.inst)
+      (approx entry live);
     (* conditional, chase path: resumed memo vs from-scratch chase *)
     check string_t "conditional chase identical"
       (Rat.to_string (Zeroone.Conditional.mu_cond_fds fds_r fresh.Session.inst q1 Tuple.empty))
