@@ -389,7 +389,9 @@ let measure_cmd =
         precheck ~tuple ~strict sch inst q;
         Printf.printf "query:  %s\n" (Query.to_string q);
         Printf.printf "tuple:  %s\n" (Tuple.to_string tuple);
-        let m = pipeline_or_die (Pipeline.measure ?jobs inst q tuple) in
+        let m =
+          pipeline_or_die (Pipeline.measure ?jobs ~cache inst q tuple)
+        in
         Printf.printf "|Supp^k| = %s   (|V^k| = k^%d)\n"
           (P.to_string m.Pipeline.supp_poly)
           (Instance.null_count inst);
@@ -866,6 +868,18 @@ let addr_of ~socket ~port ~host =
       Printf.eprintf "error: pass --socket PATH or --port PORT\n";
       exit 2
 
+(* An unresolvable host, a bad configuration or a socket that cannot be
+   bound or reached is a diagnostic and exit 2, not an exception. *)
+let socket_or_exit ~what f =
+  try f () with
+  | Failure msg | Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2
+  | Unix.Unix_error (e, fn, _) ->
+      Printf.eprintf "error: cannot %s: %s (%s)\n" what (Unix.error_message e)
+        fn;
+      exit 2
+
 let serve_cmd =
   let workers_arg =
     let doc =
@@ -885,16 +899,17 @@ let serve_cmd =
   let deadline_arg =
     let doc =
       "Default per-request deadline in milliseconds (0 = none). Enforced at \
-       valuation-chunk boundaries: an expired request gets a typed \
-       'deadline_exceeded' response and its partial work is discarded. A \
-       request's own deadline_ms field overrides this."
+       pool-chunk boundaries and every 256 classes of a class pass: an \
+       expired request gets a typed 'deadline_exceeded' response and its \
+       partial work is discarded. A request's own deadline_ms field \
+       overrides this."
     in
     Arg.(value & opt int 0 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
   let max_sessions_arg =
     let doc =
       "Cap on cached sessions (parsed database + evaluation caches); \
-       oldest-loaded sessions are evicted beyond it."
+       the least recently used session is evicted beyond it."
     in
     Arg.(value & opt int 16 & info [ "max-sessions" ] ~docv:"N" ~doc)
   in
@@ -928,20 +943,9 @@ let serve_cmd =
         shard_id
       }
     in
-    (match addr with
-    | Server.Daemon.Unix_sock path ->
-        Printf.eprintf "certainty: serving on %s\n%!" path
-    | Server.Daemon.Tcp (host, port) ->
-        Printf.eprintf "certainty: serving on %s:%d\n%!" host port);
-    match Server.Daemon.run ~signals:true cfg with
-    | () -> ()
-    | exception Failure msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-    | exception Unix.Unix_error (e, fn, _) ->
-        Printf.eprintf "error: cannot serve: %s (%s)\n" (Unix.error_message e)
-          fn;
-        exit 2
+    Printf.eprintf "certainty: serving on %s\n%!"
+      (Server.Daemon.addr_string addr);
+    socket_or_exit ~what:"serve" (fun () -> Server.Daemon.run ~signals:true cfg)
   in
   let doc =
     "Run the long-lived query service: newline-delimited JSON requests \
@@ -955,11 +959,6 @@ let serve_cmd =
           $ workers_arg $ max_queue_arg $ deadline_arg $ max_sessions_arg
           $ drain_grace_arg $ shard_id_arg $ metrics_arg $ metrics_json_arg
           $ trace_arg)
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
 
 let client_cmd =
   let op_arg =
@@ -1067,27 +1066,20 @@ let client_cmd =
       exit 2
     end;
     let failed = ref false in
-    (try
-       Server.Client.with_conn addr (fun c ->
-           let exec line =
-             match Server.Client.request c line with
-             | Some resp ->
-                 print_endline resp;
-                 if contains_substring resp "\"ok\":false" then failed := true
-             | None ->
-                 Printf.eprintf "error: server closed the connection\n";
-                 failed := true
-           in
-           List.iter exec raws;
-           Option.iter (fun op -> exec (build op)) op)
-     with
-     | Failure msg ->
-         Printf.eprintf "error: %s\n" msg;
-         exit 2
-     | Unix.Unix_error (e, fn, _) ->
-         Printf.eprintf "error: cannot connect: %s (%s)\n"
-           (Unix.error_message e) fn;
-         exit 2);
+    socket_or_exit ~what:"connect" (fun () ->
+        Server.Client.with_conn addr (fun c ->
+            let exec line =
+              match Server.Client.request c line with
+              | Some resp ->
+                  print_endline resp;
+                  if Server.Wire.contains resp "\"ok\":false" then
+                    failed := true
+              | None ->
+                  Printf.eprintf "error: server closed the connection\n";
+                  failed := true
+            in
+            List.iter exec raws;
+            Option.iter (fun op -> exec (build op)) op));
     if !failed then exit 1
   in
   let doc =
@@ -1176,15 +1168,7 @@ let router_cmd =
     Printf.eprintf "certainty: routing %d shard(s) on %s\n%!"
       (List.length shards)
       (Server.Daemon.addr_string addr);
-    match Shard.Router.run ~signals:true cfg with
-    | () -> ()
-    | exception Invalid_argument msg | exception Failure msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-    | exception Unix.Unix_error (e, fn, _) ->
-        Printf.eprintf "error: cannot route: %s (%s)\n" (Unix.error_message e)
-          fn;
-        exit 2
+    socket_or_exit ~what:"route" (fun () -> Shard.Router.run ~signals:true cfg)
   in
   let doc =
     "Run the sharded serving tier's front router: consistent-hash the \

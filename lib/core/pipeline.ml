@@ -45,10 +45,10 @@ let known_nulls inst q tuple =
   | Some n -> Error (Unknown_null n)
   | None -> Ok ()
 
-let measure ?jobs ?guard inst q tuple =
+let measure ?jobs ?guard ?cache inst q tuple =
   let* () = known_nulls inst q tuple in
   let census =
-    Support_poly.of_sentences ?jobs ?guard inst
+    Support_poly.of_sentences ?jobs ?guard ?cache inst
       [ Logic.Query.instantiate q tuple ]
   in
   let supp_poly = List.hd census.Support_poly.polys in

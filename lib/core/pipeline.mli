@@ -46,12 +46,14 @@ type measure = {
 val measure :
   ?jobs:int ->
   ?guard:(unit -> unit) ->
+  ?cache:Incomplete.Support.cache ->
   Relational.Instance.t ->
   Logic.Query.t ->
   Relational.Tuple.t ->
   (measure, error) result
 (** [Unknown_null] first; then the class pass, which [?guard] cancels by
-    raising ({!Support_poly.of_sentences}). *)
+    raising and [?cache] lets reuse a kernel db built for the same
+    instance ({!Support_poly.of_sentences}). *)
 
 val conditional :
   ?jobs:int ->

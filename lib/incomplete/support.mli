@@ -36,9 +36,11 @@
       databases.
 
     A third knob, [?guard], is the cancellation hook of the query
-    service: it is invoked at every valuation-chunk boundary
-    ({!Exec.Pool.fold_range}'s [?guard]) and aborts the count by
-    raising — the mechanism behind per-request deadlines. *)
+    service: it is invoked at every pool-chunk boundary
+    ({!Exec.Pool.fold_range}'s [?guard]; the class passes of
+    [Zeroone.Support_poly] also poll it every 256 classes) and aborts
+    the count by raising — the mechanism behind per-request
+    deadlines. *)
 
 val anchor_set : Relational.Instance.t -> Logic.Query.t -> int list
 (** [C ∪ Const(D)]: the query's genericity constants plus the

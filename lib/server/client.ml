@@ -1,20 +1,10 @@
 type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 let connect addr =
-  let fd =
-    match addr with
-    | Daemon.Unix_sock path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-        fd
-    | Daemon.Tcp (host, port) ->
-        let ip = Daemon.resolve_ipv4 host in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_INET (ip, port))
-         with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-        fd
-  in
+  let sa = Listener.sockaddr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd sa
+   with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
 (* The deterministic backoff schedule, kept separate from the jittered

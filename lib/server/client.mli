@@ -5,13 +5,13 @@
 
 type conn
 
-val connect : Daemon.addr -> conn
+val connect : Listener.addr -> conn
 (** @raise Unix.Unix_error when the server is not there.
     @raise Failure when a TCP host name does not resolve. *)
 
 val connect_retry :
   ?attempts:int -> ?delay:float -> ?backoff:float -> ?cap:float ->
-  Daemon.addr -> conn
+  Listener.addr -> conn
 (** Retry [connect] with exponential backoff — for scripts that just
     started the server and are waiting for the socket, and for the
     router's shard-reconnect loop. Attempt [i] (0-based) sleeps
@@ -42,5 +42,5 @@ val request : conn -> string -> string option
 
 val close : conn -> unit
 
-val with_conn : Daemon.addr -> (conn -> 'a) -> 'a
+val with_conn : Listener.addr -> (conn -> 'a) -> 'a
 (** Connect, run, always close. *)

@@ -1,6 +1,6 @@
 module Metrics = Obs.Metrics
 
-type addr = Unix_sock of string | Tcp of string * int
+type addr = Listener.addr = Unix_sock of string | Tcp of string * int
 
 type config = {
   addr : addr;
@@ -24,54 +24,13 @@ let default_config addr =
     shard_id = None
   }
 
-let addr_string = function
-  | Unix_sock path -> path
-  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
-(* Protocol limits. A request line longer than [max_line_bytes] is
-   refused (the admission design bounds memory everywhere else; the
-   reader must not be the exception). [max_pipeline] bounds the
-   per-connection reorder buffer: past it the reader stops reading —
-   backpressure through the socket — instead of buffering without
-   limit. [send_timeout_s] caps how long a single write to a peer
-   that stopped reading can block a worker. *)
-let max_line_bytes = 1 lsl 20
-let max_pipeline = 128
-let send_timeout_s = 30.0
-
-(* A connection. PROTOCOL.md promises responses in request order on
-   the connection, but inline replies (health, parse_error, …) are
-   produced by the reader thread while admitted requests finish on
-   worker threads in any order — so every non-blank request line gets
-   a sequence number and responses pass through a reorder buffer
-   ([pending]/[wnext], under [wlock]) that flushes them strictly in
-   sequence.
-
-   Two locks: [wlock] serializes writes and the reorder buffer;
-   [flock] guards the descriptor's lifecycle ([closed], close,
-   shutdown). They are split so that {!shutdown_fd} never has to wait
-   on a writer blocked mid-[send] — shutting the socket down is
-   exactly what unblocks such a writer. Lock order is wlock ⊃ flock;
-   close runs under both, so a held [wlock] also pins the fd open and
-   a send can never write to a recycled descriptor number. *)
-type conn = {
-  fd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
-  wlock : Mutex.t;
-  flock : Mutex.t;
-  wroom : Condition.t;  (* with [wlock]: reader waits for buffer room *)
-  pending : (int, string) Hashtbl.t;  (* seq → unflushed response line *)
-  mutable wnext : int;  (* next seq to go on the wire *)
-  mutable next_seq : int;  (* next seq to assign; reader thread only *)
-  mutable wfailed : bool;  (* a write failed: drop all further output *)
-  mutable closed : bool;
-}
+let addr_string = Listener.addr_string
+let resolve_ipv4 = Listener.resolve_ipv4
 
 type job = {
   seq : int;
   req : Wire.request;
-  jconn : conn;
+  jconn : Listener.conn;
   deadline_ns : int64 option;
 }
 
@@ -85,73 +44,12 @@ type t = {
   mutable inflight : int;
   mutable admission_closed : bool;  (* set under [lock] when draining *)
   mutable stop_workers : bool;
-  draining : bool Atomic.t;  (* fast path for health/readers *)
-  wake_r : Unix.file_descr;  (* self-pipe: signal handler → listener *)
-  wake_w : Unix.file_descr;
-  listen_fd : Unix.file_descr;
-  sock_path : string option;  (* Unix socket file to unlink on drain *)
-  mutable conns : conn list;  (* under [lock] *)
-  mutable readers : Thread.t list;  (* under [lock] *)
+  listener : Listener.t;
   mutable workers : Thread.t list;
-  mutable listener : Thread.t option;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Connection plumbing                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Safe concurrently with a send blocked in write(2): shutdown does
-   not free the descriptor number (close_conn holds [flock] for that)
-   and it is what makes the blocked write return. *)
-let shutdown_fd conn =
-  Mutex.protect conn.flock (fun () ->
-      if not conn.closed then
-        try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-        with Unix.Unix_error _ -> ())
-
-(* Deliver response [line] for request [seq]: buffer it, then flush
-   whatever prefix of the sequence is now complete. A dead peer
-   surfaces as Sys_error (SIGPIPE is ignored) or — via SO_SNDTIMEO —
-   as a timed-out write; either way the connection stops producing
-   output and the socket is shut down so its reader cleans up. *)
-let send conn seq line =
-  Mutex.protect conn.wlock (fun () ->
-      if not (conn.closed || conn.wfailed) then begin
-        Hashtbl.replace conn.pending seq line;
-        try
-          let wrote = ref false in
-          while Hashtbl.mem conn.pending conn.wnext do
-            let l = Hashtbl.find conn.pending conn.wnext in
-            Hashtbl.remove conn.pending conn.wnext;
-            conn.wnext <- conn.wnext + 1;
-            output_string conn.oc l;
-            output_char conn.oc '\n';
-            wrote := true
-          done;
-          if !wrote then flush conn.oc
-        with Sys_error _ ->
-          conn.wfailed <- true;
-          Hashtbl.reset conn.pending;
-          shutdown_fd conn
-      end;
-      Condition.broadcast conn.wroom)
-
-(* Only the connection's own reader closes the fd (after its read loop
-   ends), so no thread can still be blocked reading it when the number
-   is recycled. *)
-let close_conn conn =
-  Mutex.protect conn.wlock (fun () ->
-      Mutex.protect conn.flock (fun () ->
-          if not conn.closed then begin
-            conn.closed <- true;
-            Hashtbl.reset conn.pending;
-            if not conn.wfailed then (try flush conn.oc with Sys_error _ -> ());
-            try Unix.close conn.fd with Unix.Unix_error _ -> ()
-          end);
-      Condition.broadcast conn.wroom)
-
 let respond_error conn ~seq ~id err msg =
-  send conn seq (Wire.error_line ~id err msg)
+  Listener.send conn seq (Wire.error_line ~id err msg)
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
@@ -189,7 +87,8 @@ let process t job =
     Metrics.observe_span ("serve." ^ op)
       (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0));
     match outcome with
-    | Ok payload -> send job.jconn job.seq (Wire.ok_line ~id ~op payload)
+    | Ok payload ->
+        Listener.send job.jconn job.seq (Wire.ok_line ~id ~op payload)
     | Error (Wire.Deadline_exceeded, msg) ->
         Metrics.incr Metrics.serve_deadline_exceeded;
         respond_error job.jconn ~seq:job.seq ~id Wire.Deadline_exceeded msg
@@ -228,7 +127,7 @@ let worker_loop t =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Readers                                                             *)
+(* Request lines                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let health_line t req =
@@ -237,7 +136,8 @@ let health_line t req =
   in
   Wire.ok_line ~id:req.Wire.id ~op:"health"
     [ ( "status",
-        Wire.S (if Atomic.get t.draining then "draining" else "serving") );
+        Wire.S
+          (if Listener.draining t.listener then "draining" else "serving") );
       ("sessions", Wire.I (Session.count t.sessions));
       ("queue", Wire.I queue_len);
       ("inflight", Wire.I inflight);
@@ -263,12 +163,13 @@ let admit t job =
 
 let handle_line t conn seq line =
   Metrics.incr Metrics.serve_requests;
-  match Wire.parse_request line with
+  match Result.bind line Wire.parse_request with
   | Error msg ->
       Metrics.incr Metrics.serve_parse_errors;
       respond_error conn ~seq ~id:None Wire.Parse_error msg
-  | Ok req when req.Wire.op = "health" -> send conn seq (health_line t req)
-  | Ok req when Atomic.get t.draining ->
+  | Ok req when req.Wire.op = "health" ->
+      Listener.send conn seq (health_line t req)
+  | Ok req when Listener.draining t.listener ->
       respond_error conn ~seq ~id:req.Wire.id Wire.Shutting_down
         "server is draining"
   | Ok req -> (
@@ -302,185 +203,45 @@ let handle_line t conn seq line =
               respond_error conn ~seq ~id:req.Wire.id Wire.Shutting_down
                 "server is draining"))
 
-(* [input_line] is unbounded; a hostile client could stream one
-   endless line into our heap. Read by hand with a cap instead. *)
-let read_request_line conn =
-  let buf = Buffer.create 256 in
-  let rec go () =
-    match input_char conn.ic with
-    | '\n' -> `Line (Buffer.contents buf)
-    | c ->
-        if Buffer.length buf >= max_line_bytes then `Too_long
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-    | exception End_of_file ->
-        if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
-    | exception Sys_error _ -> `Eof
-  in
-  go ()
-
-(* Backpressure: once [max_pipeline] responses are buffered behind a
-   slow head-of-line request, stop reading until the buffer drains.
-   Progress is guaranteed — the head of the sequence is always owed by
-   an admitted job, and drain only stops workers once the queue is
-   empty — and close/send failure both broadcast [wroom]. *)
-let wait_room conn =
-  Mutex.protect conn.wlock (fun () ->
-      while
-        Hashtbl.length conn.pending >= max_pipeline
-        && not (conn.closed || conn.wfailed)
-      do
-        Condition.wait conn.wroom conn.wlock
-      done)
-
-let reader_loop t conn =
-  Metrics.incr Metrics.serve_connections;
-  let rec loop () =
-    wait_room conn;
-    match read_request_line conn with
-    | `Eof -> ()
-    | `Line "" -> loop ()  (* blank keep-alive lines are ignored *)
-    | `Line line ->
-        let seq = conn.next_seq in
-        conn.next_seq <- seq + 1;
-        handle_line t conn seq line;
-        loop ()
-    | `Too_long ->
-        (* Cannot resync mid-line: answer and hang up. *)
-        Metrics.incr Metrics.serve_requests;
-        Metrics.incr Metrics.serve_parse_errors;
-        let seq = conn.next_seq in
-        conn.next_seq <- seq + 1;
-        respond_error conn ~seq ~id:None Wire.Parse_error
-          (Printf.sprintf "request line exceeds %d bytes; closing connection"
-             max_line_bytes)
-  in
-  loop ();
-  close_conn conn;
-  Mutex.protect t.lock (fun () ->
-      t.conns <- List.filter (fun c -> c != conn) t.conns)
-
 (* ------------------------------------------------------------------ *)
-(* Listener and drain                                                  *)
+(* Drain and lifecycle                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let accept_one t =
-  match Unix.accept t.listen_fd with
-  | fd, _ ->
-      (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s
-       with Unix.Unix_error _ | Invalid_argument _ -> ());
-      let conn =
-        { fd;
-          ic = Unix.in_channel_of_descr fd;
-          oc = Unix.out_channel_of_descr fd;
-          wlock = Mutex.create ();
-          flock = Mutex.create ();
-          wroom = Condition.create ();
-          pending = Hashtbl.create 8;
-          wnext = 0;
-          next_seq = 0;
-          wfailed = false;
-          closed = false
-        }
-      in
-      let thread = Thread.create (fun () -> reader_loop t conn) () in
-      Mutex.protect t.lock (fun () ->
-          t.conns <- conn :: t.conns;
-          t.readers <- thread :: t.readers)
-  | exception
-      Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN), _, _) ->
-      ()
-
-let drain_shutdown t =
-  (* Stop accepting: new connect()s fail from here on. *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Option.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
-    t.sock_path;
+(* Runs on the listener thread once the listening socket is gone. *)
+let drain_work t =
   Mutex.lock t.lock;
   t.admission_closed <- true;
   (* Let queued and in-flight work finish — but only for so long. A
      worker can be stuck in [send] to a peer that stopped reading; it
      holds the connection's write lock and keeps [inflight] up, so an
      unconditional wait would never end. Past the grace deadline,
-     shut every socket down ([shutdown_fd] takes only [flock], so a
-     stuck writer cannot block it) — the blocked writes fail, the
-     workers finish, and the wait completes. *)
+     shut every socket down ([Listener.shutdown_all] never waits on a
+     stuck writer) — the blocked writes fail, the workers finish, and
+     the wait completes. *)
   let deadline = Unix.gettimeofday () +. t.cfg.drain_grace_s in
   let forced = ref false in
   while not (Queue.is_empty t.queue && t.inflight = 0) do
+    Mutex.unlock t.lock;
     if (not !forced) && Unix.gettimeofday () >= deadline then begin
       forced := true;
-      let conns = t.conns in
-      Mutex.unlock t.lock;
-      List.iter shutdown_fd conns;
-      Mutex.lock t.lock
+      Listener.shutdown_all t.listener
     end
-    else begin
-      Mutex.unlock t.lock;
-      Thread.delay 0.02;
-      Mutex.lock t.lock
-    end
+    else Thread.delay 0.02;
+    Mutex.lock t.lock
   done;
   t.stop_workers <- true;
   Condition.broadcast t.nonempty;
-  let conns = t.conns in
   Mutex.unlock t.lock;
-  (* In-flight responses are on the wire; hang up so readers unblock. *)
-  List.iter shutdown_fd conns
+  List.iter Thread.join t.workers
 
-let listener_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else
-      match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-      | readable, _, _ ->
-          if List.mem t.wake_r readable then ()  (* drain requested *)
-          else begin
-            if List.mem t.listen_fd readable then accept_one t;
-            loop ()
-          end
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ();
-  drain_shutdown t
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let resolve_ipv4 host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } ->
-        failwith (Printf.sprintf "host %s resolves to no addresses" host)
-    | { Unix.h_addr_list; _ } -> h_addr_list.(0)
-    | exception Not_found ->
-        failwith (Printf.sprintf "cannot resolve host %s" host))
-
-let bind_listener addr =
-  match addr with
-  | Unix_sock path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (* A previous unclean exit may have left the socket file behind. *)
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      (fd, Some path)
-  | Tcp (host, port) ->
-      let ip = resolve_ipv4 host in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      (fd, None)
+let handler t =
+  { Listener.accepted = (fun () -> Metrics.incr Metrics.serve_connections);
+    line = handle_line t;
+    drain = (fun () -> drain_work t)
+  }
 
 let start_common cfg =
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  let listen_fd, sock_path = bind_listener cfg.addr in
-  let wake_r, wake_w = Unix.pipe () in
+  let listener = Listener.bind cfg.addr in
   (* Monotone clock mixed with the pid: distinct across restarts of a
      shard behind the same address, which is all a router needs. *)
   let generation =
@@ -497,15 +258,8 @@ let start_common cfg =
       inflight = 0;
       admission_closed = false;
       stop_workers = false;
-      draining = Atomic.make false;
-      wake_r;
-      wake_w;
-      listen_fd;
-      sock_path;
-      conns = [];
-      readers = [];
-      workers = [];
-      listener = None
+      listener;
+      workers = []
     }
   in
   t.workers <-
@@ -515,36 +269,13 @@ let start_common cfg =
 
 let start cfg =
   let t = start_common cfg in
-  t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
+  Listener.start t.listener (handler t);
   t
 
-let drain t =
-  if not (Atomic.exchange t.draining true) then
-    (* Async-signal-safe: one flag, one write. The listener owns the
-       actual teardown. *)
-    ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
+let drain t = Listener.drain t.listener
 
-let wait t =
-  Option.iter Thread.join t.listener;
-  List.iter Thread.join t.workers;
-  let readers = Mutex.protect t.lock (fun () -> t.readers) in
-  List.iter Thread.join readers;
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+let wait t = Listener.wait t.listener
 
-(* The accept loop runs on the calling (main) thread, not a spawned
-   one: a signal interrupting [select] with EINTR re-enters OCaml code
-   right here, which is what lets the runtime actually execute the
-   OCaml-level handler. With every thread parked in [Thread.join] /
-   [Condition.wait] / [select] — the shape [start] + [wait] has — no
-   thread reaches a poll point and a SIGTERM would sit pending
-   forever. *)
-let run ?(signals = true) cfg =
+let run ?signals cfg =
   let t = start_common cfg in
-  if signals then begin
-    let handler = Sys.Signal_handle (fun _ -> drain t) in
-    ignore (Sys.signal Sys.sigterm handler);
-    ignore (Sys.signal Sys.sigint handler)
-  end;
-  listener_loop t;
-  wait t
+  Listener.run ?signals t.listener (handler t)

@@ -1,49 +1,42 @@
-(** The query service daemon: sockets, admission control, deadlines,
+(** The query service daemon: admission control, workers, deadlines,
     graceful drain.
 
-    Architecture: one listener thread accepts connections (woken by a
-    self-pipe for shutdown); each connection gets a reader thread that
-    parses request lines (length-capped: an over-long line gets a
-    [parse_error] and the connection is closed) and answers the cheap
-    cases inline — [parse_error] (the connection survives), [health],
-    [bad_request] for a non-positive [deadline_ms], [overloaded] when
-    the bounded admission queue is full, [shutting_down] while
-    draining. Admitted requests wait in the queue for one of
+    Architecture: the socket tier is {!Listener} — bind, the 1 MiB
+    request-line cap, one reader thread per connection, the ordering
+    writer with its [SO_SNDTIMEO] cap, and the signal-safe drain. The
+    daemon is its line handler: it answers the cheap cases inline on
+    the reader thread — [parse_error] (the connection survives),
+    [health], [bad_request] for a non-positive [deadline_ms],
+    [overloaded] when the bounded admission queue is full,
+    [shutting_down] while draining — and queues the rest for one of
     [service_threads] worker threads, which run them through
     {!Service.handle} on the shared {!Session} store and the
     persistent {!Exec.Pool}, under a {!Obs.Trace} span and a
-    per-endpoint {!Obs.Metrics} latency histogram.
-
-    Ordering: every non-blank request line gets a per-connection
-    sequence number and all responses — inline or worker-produced —
-    pass through a per-connection reorder buffer, so a pipelining
-    client receives responses strictly in request order even when a
-    later request finishes (or is answered inline) first. The buffer
-    is bounded: past [128] unflushed responses the reader stops
-    reading until it drains (backpressure through the socket).
+    per-endpoint {!Obs.Metrics} latency histogram. Responses, inline
+    or worker-produced, reach a pipelining client strictly in request
+    order through the listener's reorder buffer.
 
     Deadlines: a request's budget ([deadline_ms] field, else the
     server default) is converted to an absolute {!Obs.Clock} instant
     at admission. Workers re-check it at dequeue and pass a guard into
-    the engine that re-checks at every valuation-chunk boundary;
-    either way the client gets a typed [deadline_exceeded] and the
-    partial count is discarded. A non-positive [deadline_ms] is
-    refused with [bad_request] — a client cannot opt out of the
-    operator's budget cap.
+    the engine that re-checks at every pool-chunk boundary and, within
+    a class pass, every 256 classes; either way the client gets a
+    typed [deadline_exceeded] and the partial count is discarded. A
+    non-positive [deadline_ms] is refused with [bad_request] — a
+    client cannot opt out of the operator's budget cap.
 
-    Drain ({!drain}, also wired to SIGTERM/SIGINT by {!run}): stop
-    accepting — close the listening socket and unlink the Unix socket
-    path — let queued and in-flight requests finish, then stop the
-    workers, shut down every connection, and join all threads. During
-    the drain window readers still answer [health] (reporting
-    [draining]) and refuse evaluating requests with [shutting_down].
-    The wait for in-flight work is bounded by [drain_grace_s]: past it
-    every connection socket is shut down, which unblocks any worker
-    stuck writing to a peer that stopped reading (writes are also
-    individually capped with [SO_SNDTIMEO]), so SIGTERM always
+    Drain ({!drain}, also wired to SIGTERM/SIGINT by {!run}): the
+    listener stops accepting; the daemon lets queued and in-flight
+    requests finish, then stops the workers; the listener shuts down
+    every connection and all threads are joined. During the drain
+    window readers still answer [health] (reporting [draining]) and
+    refuse evaluating requests with [shutting_down]. The wait for
+    in-flight work is bounded by [drain_grace_s]: past it every
+    connection socket is shut down, which unblocks any worker stuck
+    writing to a peer that stopped reading, so SIGTERM always
     terminates the process. *)
 
-type addr = Unix_sock of string | Tcp of string * int
+type addr = Listener.addr = Unix_sock of string | Tcp of string * int
 
 type config = {
   addr : addr;
@@ -65,23 +58,18 @@ val default_config : addr -> config
     16 sessions, 30s drain grace, [shard_id = None]. *)
 
 val addr_string : addr -> string
-(** Human-readable form: the socket path, or [host:port]. *)
+(** {!Listener.addr_string}. *)
 
 val resolve_ipv4 : string -> Unix.inet_addr
-(** Resolve a dotted-quad or host name to an IPv4 address.
-    @raise Failure with a readable message when the name does not
-    resolve (instead of leaking [Not_found] or an array access from
-    [Unix.gethostbyname]). *)
+(** {!Listener.resolve_ipv4}. *)
 
 type t
 
 val start : config -> t
-(** Bind, listen, spawn the listener and worker threads, and return.
-    Also ignores SIGPIPE process-wide (a client hanging up mid-response
-    must not kill the server). Each start stamps a fresh nonzero
-    [generation], reported by [health]: a router seeing it change
-    behind a fixed address knows the shard restarted and lost its
-    sessions.
+(** Bind ({!Listener.bind}), spawn the listener and worker threads,
+    and return. Each start stamps a fresh nonzero [generation],
+    reported by [health]: a router seeing it change behind a fixed
+    address knows the shard restarted and lost its sessions.
     @raise Unix.Unix_error when the address cannot be bound.
     @raise Failure when a TCP host name does not resolve. *)
 

@@ -185,13 +185,13 @@ let run_certain ~sessions ?jobs ?guard req =
 
 let run_measure ~sessions ?jobs ?guard req =
   let* entry = get_session sessions req in
-  let inst = entry.Session.inst in
+  let inst = entry.Session.inst and cache = entry.Session.cache in
   let* qs = require req "query" in
   let* q = parse_query qs in
   let* () = well_formed entry.Session.schema q in
   let* tuple = get_tuple req q in
   let* () = precheck ~tuple entry.Session.schema inst q in
-  let* m = pipeline (Pipeline.measure ?jobs ?guard inst q tuple) in
+  let* m = pipeline (Pipeline.measure ?jobs ?guard ~cache inst q tuple) in
   let* series =
     series_fields ~census:m.Pipeline.census inst
       (Pipeline.Answer (q, tuple))

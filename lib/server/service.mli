@@ -20,9 +20,9 @@
     stable diagnostic codes in the message, and no evaluation runs. *)
 
 exception Deadline
-(** Raised by the daemon's deadline guards at a valuation-chunk
-    boundary; [handle] turns it into {!Wire.Deadline_exceeded},
-    discarding the partial count. *)
+(** Raised by the daemon's deadline guards at a pool-chunk boundary
+    or, within a class pass, every 256 classes; [handle] turns it into
+    {!Wire.Deadline_exceeded}, discarding the partial count. *)
 
 val handle :
   sessions:Session.t ->

@@ -250,3 +250,8 @@ let error_line ~id err msg =
   obj
     (id_prefix id
     @ [ ("ok", B false); ("error", S (error_code err)); ("message", S msg) ])
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0

@@ -70,3 +70,8 @@ val ok_line : id:string option -> op:string -> (string * json) list -> string
 
 val error_line : id:string option -> error -> string -> string
 (** [{"id":…,"ok":false,"error":…,"message":…}] *)
+
+val contains : string -> string -> bool
+(** [contains line needle]: substring test, for scanning response lines
+    (e.g. for ["\"ok\":false"]) without parsing them — exact enough on
+    this emitter's own output. *)

@@ -1,5 +1,6 @@
 module Daemon = Server.Daemon
 module Client = Server.Client
+module Listener = Server.Listener
 module Wire = Server.Wire
 module Metrics = Obs.Metrics
 
@@ -31,23 +32,7 @@ let default_config ~addr ~shards =
     drain_grace_s = 30.0
   }
 
-(* "host:port" with a numeric port and no slash is TCP; anything else
-   is a Unix socket path (so "./srv.sock" and "/tmp/a:b" both work). *)
-let parse_addr s =
-  if s = "" then Error "empty shard address"
-  else
-    match String.rindex_opt s ':' with
-    | Some i when i > 0 && i < String.length s - 1 -> (
-        let host = String.sub s 0 i in
-        let port = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt port with
-        | Some p when p > 0 && p < 65536 && not (String.contains host '/') ->
-            Ok (Daemon.Tcp (host, p))
-        | _ -> Ok (Daemon.Unix_sock s))
-    | _ -> Ok (Daemon.Unix_sock s)
-
-(* Protocol limit, same as the daemon's reader. *)
-let max_line_bytes = 1 lsl 20
+let parse_addr = Listener.parse_addr
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -94,17 +79,6 @@ type session = {
       (* (shard index, shard generation) -> prefix length applied *)
 }
 
-(* A downstream client connection. Requests on one connection are
-   handled serially by its reader thread, which preserves the wire
-   protocol's response ordering without a reorder buffer. *)
-type cconn = {
-  c_fd : Unix.file_descr;
-  c_ic : in_channel;
-  c_oc : out_channel;
-  c_wlock : Mutex.t;
-  mutable c_closed : bool;
-}
-
 type t = {
   cfg : config;
   ring : Ring.t;
@@ -112,35 +86,23 @@ type t = {
   sessions : (string, session) Hashtbl.t;
   sess_lock : Mutex.t;
   rr_tick : int Atomic.t;  (* spreads reads over replica sets *)
-  draining : bool Atomic.t;
+  answering : int Atomic.t;  (* request lines not yet answered *)
   stop_prober : bool Atomic.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  listen_fd : Unix.file_descr;
-  sock_path : string option;
-  lock : Mutex.t;  (* [conns] and [readers] *)
-  mutable conns : cconn list;
-  mutable readers : Thread.t list;
+  listener : Listener.t;
   mutable prober : Thread.t option;
-  mutable listener : Thread.t option;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let resp_ok resp = contains resp "\"ok\":true"
+let resp_ok resp = Wire.contains resp "\"ok\":true"
 
 (* A shard that answers [shutting_down] is mid-drain: the line is a
    valid response, but relaying it would leak tier topology to the
    client — the contract is that backends failing over is the
    router's problem. Treat it like a transport failure and move on. *)
-let resp_shutting_down resp = contains resp "\"error\":\"shutting_down\""
+let resp_shutting_down resp = Wire.contains resp "\"error\":\"shutting_down\""
 
 (* Pull an integer field out of a response line. Responses are our own
    emitter's output, so a plain scan for the key is exact enough. *)
@@ -467,7 +429,8 @@ let health_line t ~id =
   let sessions = Mutex.protect t.sess_lock (fun () -> Hashtbl.length t.sessions) in
   Wire.ok_line ~id ~op:"health"
     [ ( "status",
-        Wire.S (if Atomic.get t.draining then "draining" else "serving") );
+        Wire.S
+          (if Listener.draining t.listener then "draining" else "serving") );
       ("tier", Wire.S "router");
       ("shards", Wire.I (Array.length t.shards));
       ("shards_up", Wire.I !up);
@@ -480,35 +443,16 @@ let health_line t ~id =
 (* Downstream connections                                              *)
 (* ------------------------------------------------------------------ *)
 
-let cc_send cc line =
-  Mutex.protect cc.c_wlock (fun () ->
-      if not cc.c_closed then
-        try
-          output_string cc.c_oc line;
-          output_char cc.c_oc '\n';
-          flush cc.c_oc
-        with Sys_error _ -> (
-          try Unix.shutdown cc.c_fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error _ -> ()))
-
-let close_cconn cc =
-  Mutex.protect cc.c_wlock (fun () ->
-      if not cc.c_closed then begin
-        cc.c_closed <- true;
-        (try flush cc.c_oc with Sys_error _ -> ());
-        try Unix.close cc.c_fd with Unix.Unix_error _ -> ()
-      end)
-
-let handle_line t cc line =
+(* Lines on one connection are handled serially on its reader thread,
+   so responses leave in request order and the listener's reorder
+   buffer never holds more than one. *)
+let handle_line t line =
   Metrics.incr Metrics.router_requests;
-  match Wire.parse_request line with
-  | Error msg -> cc_send cc (Wire.error_line ~id:None Wire.Parse_error msg)
-  | Ok req when req.Wire.op = "health" ->
-      cc_send cc (health_line t ~id:req.Wire.id)
-  | Ok req when Atomic.get t.draining ->
-      cc_send cc
-        (Wire.error_line ~id:req.Wire.id Wire.Shutting_down
-           "router is draining")
+  match Result.bind line Wire.parse_request with
+  | Error msg -> Wire.error_line ~id:None Wire.Parse_error msg
+  | Ok req when req.Wire.op = "health" -> health_line t ~id:req.Wire.id
+  | Ok req when Listener.draining t.listener ->
+      Wire.error_line ~id:req.Wire.id Wire.Shutting_down "router is draining"
   | Ok req ->
       let id = req.Wire.id in
       let schema = Option.value (Wire.str_field req "schema") ~default:"" in
@@ -522,50 +466,13 @@ let handle_line t cc line =
               ("id", match id with Some i -> i | None -> "")
             ]
           (fun () ->
+            let line = Result.get_ok line in
             if req.Wire.op = "update" then
               route_update t ~id ~key ~schema ~db req line
             else route_read t ~id ~key line)
       in
       Metrics.observe_span "router.request" (now_ns () - t0);
-      cc_send cc resp
-
-let read_request_line cc =
-  let buf = Buffer.create 256 in
-  let rec go () =
-    match input_char cc.c_ic with
-    | '\n' -> `Line (Buffer.contents buf)
-    | c ->
-        if Buffer.length buf >= max_line_bytes then `Too_long
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-    | exception End_of_file ->
-        if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
-    | exception Sys_error _ -> `Eof
-  in
-  go ()
-
-let reader_loop t cc =
-  let rec loop () =
-    match read_request_line cc with
-    | `Eof -> ()
-    | `Line "" -> loop ()
-    | `Line line ->
-        handle_line t cc line;
-        loop ()
-    | `Too_long ->
-        Metrics.incr Metrics.router_requests;
-        cc_send cc
-          (Wire.error_line ~id:None Wire.Parse_error
-             (Printf.sprintf
-                "request line exceeds %d bytes; closing connection"
-                max_line_bytes))
-  in
-  loop ();
-  close_cconn cc;
-  Mutex.protect t.lock (fun () ->
-      t.conns <- List.filter (fun c -> c != cc) t.conns)
+      resp
 
 (* ------------------------------------------------------------------ *)
 (* Health-gated membership                                             *)
@@ -644,51 +551,13 @@ let prober_loop t =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let bind_listener addr =
-  match addr with
-  | Daemon.Unix_sock path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      (fd, Some path)
-  | Daemon.Tcp (host, port) ->
-      let ip = Daemon.resolve_ipv4 host in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      (fd, None)
-
-let accept_one t =
-  match Unix.accept t.listen_fd with
-  | fd, _ ->
-      let cc =
-        { c_fd = fd;
-          c_ic = Unix.in_channel_of_descr fd;
-          c_oc = Unix.out_channel_of_descr fd;
-          c_wlock = Mutex.create ();
-          c_closed = false
-        }
-      in
-      let thread = Thread.create (fun () -> reader_loop t cc) () in
-      Mutex.protect t.lock (fun () ->
-          t.conns <- cc :: t.conns;
-          t.readers <- thread :: t.readers)
-  | exception
-      Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN), _, _) ->
-      ()
-
-(* Rolling drain: stop accepting (new requests already get
-   [shutting_down]), then walk the shards one at a time, waiting up to
-   the grace period for each one's in-flight window to empty before
-   closing its pool — so backends never see a thundering hang-up and
-   at most one shard's arc is in teardown at any moment. *)
-let drain_shutdown t =
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Option.iter
-    (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
-    t.sock_path;
+(* Rolling drain, on the listener thread once it stops accepting (new
+   requests already get [shutting_down]): walk the shards one at a
+   time, waiting up to the grace period for each one's in-flight window
+   to empty before closing its pool — so backends never see a
+   thundering hang-up and at most one shard's arc is in teardown at any
+   moment. *)
+let drain_shards t =
   Atomic.set t.stop_prober true;
   Array.iter
     (fun sh ->
@@ -714,30 +583,26 @@ let drain_shutdown t =
          borrower close them at check-in. *)
       List.iter Client.shutdown busy)
     t.shards;
-  let conns = Mutex.protect t.lock (fun () -> t.conns) in
-  List.iter
-    (fun cc ->
-      try Unix.shutdown cc.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    conns
+  (* A reply leaves only after its shard connection is checked in: let
+     those still on their way out go before the listener hangs up. *)
+  let deadline = Unix.gettimeofday () +. t.cfg.drain_grace_s in
+  while Atomic.get t.answering > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done;
+  Option.iter Thread.join t.prober
 
-let listener_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else
-      match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-      | readable, _, _ ->
-          if List.mem t.wake_r readable then ()
-          else begin
-            if List.mem t.listen_fd readable then accept_one t;
-            loop ()
-          end
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ();
-  drain_shutdown t
+let handler t =
+  { Listener.accepted = ignore;
+    line =
+      (fun conn seq line ->
+        Atomic.incr t.answering;
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr t.answering)
+          (fun () -> Listener.send conn seq (handle_line t line)));
+    drain = (fun () -> drain_shards t)
+  }
 
 let start_common (cfg : config) =
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   if Array.length cfg.shards = 0 then
     invalid_arg "Router.start: no shards configured";
   if cfg.replicas < 1 then invalid_arg "Router.start: replicas must be >= 1";
@@ -760,8 +625,6 @@ let start_common (cfg : config) =
       cfg.shards
   in
   let ring = Ring.create (Array.map (fun sh -> sh.s_name) shards) in
-  let listen_fd, sock_path = bind_listener cfg.addr in
-  let wake_r, wake_w = Unix.pipe () in
   let t =
     { cfg;
       ring;
@@ -769,17 +632,10 @@ let start_common (cfg : config) =
       sessions = Hashtbl.create 64;
       sess_lock = Mutex.create ();
       rr_tick = Atomic.make 0;
-      draining = Atomic.make false;
+      answering = Atomic.make 0;
       stop_prober = Atomic.make false;
-      wake_r;
-      wake_w;
-      listen_fd;
-      sock_path;
-      lock = Mutex.create ();
-      conns = [];
-      readers = [];
-      prober = None;
-      listener = None
+      listener = Listener.bind cfg.addr;
+      prober = None
     }
   in
   (* A synchronous first pass, so a router started after its shards
@@ -798,32 +654,16 @@ let start_common (cfg : config) =
 
 let start cfg =
   let t = start_common cfg in
-  t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
+  Listener.start t.listener (handler t);
   t
 
-let drain t =
-  if not (Atomic.exchange t.draining true) then
-    ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
+let drain t = Listener.drain t.listener
 
-let wait t =
-  Option.iter Thread.join t.listener;
-  Option.iter Thread.join t.prober;
-  let readers = Mutex.protect t.lock (fun () -> t.readers) in
-  List.iter Thread.join readers;
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+let wait t = Listener.wait t.listener
 
-(* Like [Daemon.run]: keep the accept loop on the calling thread so an
-   OCaml-level signal handler always has a poll point to run at. *)
-let run ?(signals = true) cfg =
+let run ?signals cfg =
   let t = start_common cfg in
-  if signals then begin
-    let handler = Sys.Signal_handle (fun _ -> drain t) in
-    ignore (Sys.signal Sys.sigterm handler);
-    ignore (Sys.signal Sys.sigint handler)
-  end;
-  listener_loop t;
-  wait t
+  Listener.run ?signals t.listener (handler t)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection (tests, bench)                                        *)

@@ -2,8 +2,11 @@
 
     A router is a process that speaks the daemon's wire protocol to
     clients (one flat-JSON request per line, one response line per
-    request, in order — see [docs/PROTOCOL.md]) and owns no engine of
-    its own: every evaluating request is consistent-hashed by its
+    request, in order — see [docs/PROTOCOL.md]) through the daemon's
+    own socket tier, {!Server.Listener} (bind, 1 MiB line cap, ordered
+    writer with its 30 s write cap, signal-safe drain); the router is
+    only its line handler and drain hook. It owns no engine of its
+    own: every evaluating request is consistent-hashed by its
     [(schema, db)] session key onto a {!Ring} of backend shards — each
     a stock [certainty serve] daemon — and the client's request line
     is proxied {e verbatim} over a pooled {!Server.Client} connection,
@@ -35,7 +38,8 @@
     conversations are bounded by [shard_timeout_s]) and never a wrong
     answer. [health] is answered by the router itself, reporting
     membership. Draining walks the shards one at a time, each bounded
-    by [drain_grace_s]. *)
+    by [drain_grace_s], and lets the replies already on their way
+    leave before the listener hangs up. *)
 
 type config = {
   addr : Server.Daemon.addr;  (** where the router listens *)

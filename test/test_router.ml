@@ -386,6 +386,81 @@ let test_router_replay_after_restart () =
   check Alcotest.string "restarted primary holds both updates" after
     (request_exn c q)
 
+let test_router_caps_line_length () =
+  with_cluster "cap" @@ fun ~router:_ ~raddr ~stop_shard:_ ~start_shard:_ ->
+  Client.with_conn raddr @@ fun c ->
+  (* One line just past the 1 MiB cap: a typed parse_error, then the
+     connection is closed (mid-line there is nothing to resync to). *)
+  Client.send_line c (String.make ((1 lsl 20) + 16) 'x');
+  (match Client.recv_line c with
+  | Some resp ->
+      check Alcotest.bool "typed parse_error" true
+        (contains resp {|"error":"parse_error"|});
+      check Alcotest.bool "says the line was too long" true
+        (contains resp "exceeds")
+  | None -> Alcotest.fail "no response to the over-long line");
+  match Client.recv_line c with
+  | None -> ()
+  | Some l -> Alcotest.failf "connection should be closed, got %s" l
+
+(* A measure whose class pass (the 115,975 set partitions of 10 nulls)
+   keeps a shard busy long enough to drain the router around it. *)
+let slow_line =
+  let n = 10 in
+  let cols = List.init n (Printf.sprintf "c%d") in
+  let nulls = List.init n (fun i -> Printf.sprintf "~%d" (i + 1)) in
+  W.obj
+    [ ("id", W.S "slow"); ("op", W.S "measure");
+      ("schema", W.S (Printf.sprintf "U(%s)" (String.concat "," cols)));
+      ("db", W.S (Printf.sprintf "U = { (%s) }" (String.concat ", " nulls)));
+      ( "query",
+        W.S
+          (Printf.sprintf "Q() := exists x. U(%s)"
+             (String.concat ", " (List.init n (fun _ -> "x")))) );
+      ("ks", W.S "3")
+    ]
+
+let test_router_drain () =
+  let ssock = temp_sock "drs" and rsock = temp_sock "drr" in
+  List.iter (fun s -> if Sys.file_exists s then Sys.remove s) [ ssock; rsock ];
+  let shard = Daemon.start (shard_config ssock) in
+  Fun.protect ~finally:(fun () -> Daemon.drain shard; Daemon.wait shard)
+  @@ fun () ->
+  let raddr = Daemon.Unix_sock rsock in
+  let router =
+    Router.start
+      (Router.default_config ~addr:raddr ~shards:[ Daemon.Unix_sock ssock ])
+  in
+  let expected = List.hd (reference [ slow_line ]) in
+  let c = Client.connect raddr and later = Client.connect raddr in
+  Client.send_line c slow_line;
+  (* Drain only once the shard is working on the request. *)
+  Client.with_conn (Daemon.Unix_sock ssock) (fun probe ->
+      wait_until "the slow request to reach the shard" (fun () ->
+          contains
+            (request_exn probe {|{"op":"health"}|})
+            {|"inflight":1|}));
+  Router.drain router;
+  (* A request arriving during the drain is refused: typed, or by the
+     connection being shut down under it. *)
+  Client.send_line later (certain_line ~id:"late" "z");
+  (match Client.recv_line later with
+  | None -> ()
+  | Some resp ->
+      check Alcotest.bool "late request refused with shutting_down" true
+        (contains resp {|"error":"shutting_down"|}));
+  check Alcotest.(option string) "in-flight request answered in full"
+    (Some expected) (Client.recv_line c);
+  Router.wait router;
+  Client.close c;
+  Client.close later;
+  check Alcotest.bool "router socket unlinked" false (Sys.file_exists rsock);
+  match Client.connect raddr with
+  | exception Unix.Unix_error _ -> ()
+  | c2 ->
+      Client.close c2;
+      Alcotest.fail "connect after drain should fail"
+
 let () =
   Alcotest.run "router"
     [ ( "ring",
@@ -412,6 +487,9 @@ let () =
           Alcotest.test_case "failover: correct bytes or typed error" `Quick
             test_router_failover;
           Alcotest.test_case "updates replayed into a restarted primary"
-            `Quick test_router_replay_after_restart
+            `Quick test_router_replay_after_restart;
+          Alcotest.test_case "request lines are length-capped" `Quick
+            test_router_caps_line_length;
+          Alcotest.test_case "graceful drain" `Quick test_router_drain
         ] )
     ]
