@@ -94,7 +94,7 @@ type cond = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Uniform sampling of V^k(D)                                          *)
+(* Sampling V^k(D), one kernel run per class                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Chunks under a guard are capped at 2^16 items by the pool; this
@@ -102,34 +102,146 @@ type cond = {
    fan out. *)
 let min_work = 256
 
-let draw_uniform ~rng ~nulls ~k ~space =
+(* Class keys (see [class_key]) hashed and compared by value. *)
+module Key = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do incr i done;
+    !i = n
+
+  (* Multiply-xorshift per position: the table indexes buckets by the
+     low bits, and one class usually holds most samples. *)
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h + a.(i)) * 0x1E3779B97F4A7C15;
+      h := !h lxor (!h lsr 29)
+    done;
+    !h land max_int
+end)
+
+(* The proof of Theorem 1: for a C-generic sentence, whether v(D)
+   satisfies it depends only on the class of v — the equality pattern
+   of the nulls plus the anchors of C ∪ Const(D) they hit
+   ({!Incomplete.Classes}). So a sampler needs one kernel run per class
+   it meets, not one per sample. Each pool chunk keeps its own table
+   from class key to verdict bitmask (bit s: sentence s holds); the
+   table dies with the chunk, so nothing is shared between domains or
+   outlives a request, and every sample scores exactly the hit the
+   kernel returns for it. A sample lives in the table's digit array:
+   position i holds the code of the i-th null. *)
+type table = {
+  nulls : int list;
+  anchors : int array;  (* C ∪ Const(D), sorted *)
+  checkers : Support.checker list;
+  digits : int array;  (* the current sample *)
+  key : int array;  (* scratch: the current sample's class key *)
+  verdicts : int Key.t;
+}
+
+let table ~db ~sentences ~nulls =
+  let m = List.length nulls in
+  { nulls;
+    anchors =
+      Array.of_list
+        (Support.anchor_set_sentences_split (Kernel.split db) sentences);
+    checkers = List.map (Support.checker db) sentences;
+    digits = Array.make m 0;
+    key = Array.make m 0;
+    verdicts = Key.create 64
+  }
+
+(* The index of [code] in the sorted anchors, or −1. *)
+let anchor_index (anchors : int array) (code : int) =
+  let lo = ref 0 and hi = ref (Array.length anchors) and found = ref (-1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let a = anchors.(mid) in
+    if a = code then begin
+      found := mid;
+      lo := !hi
+    end
+    else if a < code then lo := mid + 1
+    else hi := mid
+  done;
+  !found
+
+(* The class key of the current sample: an anchor code becomes
+   −1 − its anchor index, any other code the first position holding
+   the same code. Two samples get equal keys iff their classes are
+   equal. *)
+let class_key t =
+  let d = t.digits in
+  for i = 0 to Array.length d - 1 do
+    let c = d.(i) in
+    let ix = anchor_index t.anchors c in
+    t.key.(i) <-
+      (if ix >= 0 then -1 - ix
+       else
+         let j = ref 0 in
+         while d.(!j) <> c do incr j done;
+         !j)
+  done
+
+(* The verdict bitmask of the current sample. A class met for the
+   first time is checked on this sample, its first member. *)
+let verdict t =
+  class_key t;
+  match Key.find t.verdicts t.key with
+  | bits -> bits
+  | exception Not_found ->
+      let v =
+        Valuation.of_list (List.mapi (fun i nl -> (nl, t.digits.(i))) t.nulls)
+      in
+      let bits, _ =
+        List.fold_left
+          (fun (bits, bit) chk ->
+            ((if Support.check chk v then bits lor bit else bits), bit lsl 1))
+          (0, 1) t.checkers
+      in
+      Key.add t.verdicts (Array.copy t.key) bits;
+      bits
+
+(* A uniform member of V^k(D) into [digits]. Small space: a uniform
+   rank, decoded mixed-radix with the last null least significant —
+   the visit order of the exact sweep. Beyond the int frontier: the m
+   digits drawn independently. A uniform rank in [0, k^m) *is* m
+   independent uniform digits in [0, k), so the distribution is
+   identical — with no bigint arithmetic per sample. *)
+let draw_digits ~rng ~k ~space digits =
   match space with
   | Some size ->
-      (* Small space: a uniform rank, decoded mixed-radix — the visit
-         order of the exact sweep. *)
-      Enumerate.valuation_of_rank ~nulls ~k (Srng.uniform rng size)
+      let r = ref (Srng.uniform rng size) in
+      for i = Array.length digits - 1 downto 0 do
+        digits.(i) <- 1 + (!r mod k);
+        r := !r / k
+      done
   | None ->
-      (* Beyond the int frontier: draw the m digits independently.
-         A uniform rank in [0, k^m) *is* m independent uniform digits
-         in [0, k), so the distribution is identical — with no bigint
-         arithmetic per sample. *)
-      Valuation.of_list (List.map (fun nl -> (nl, 1 + Srng.uniform rng k)) nulls)
+      for i = 0 to Array.length digits - 1 do
+        digits.(i) <- 1 + Srng.uniform rng k
+      done
 
-(* Count how many of the samples [base, base+n) hit every checker.
+(* Count how many of the samples [base, base+n) hit every sentence.
    Sample index i draws from its own (seed, i) stream, so the counts
    are independent of the chunk partition; int subtotals are summed in
    chunk order — bit-identical for any ?jobs, guarded or not. *)
 let count_hits ?jobs ?guard ~db ~sentences ~nulls ~k ~space ~seed ~base n =
   let nsent = List.length sentences in
   let chunk lo hi =
-    let checkers = List.map (Support.checker db) sentences in
+    let t = table ~db ~sentences ~nulls in
     let hits = Array.make nsent 0 in
     for i = lo to hi - 1 do
-      let rng = Srng.stream ~seed ~index:(base + i) in
-      let v = draw_uniform ~rng ~nulls ~k ~space in
-      List.iteri
-        (fun s chk -> if Support.check chk v then hits.(s) <- hits.(s) + 1)
-        checkers
+      draw_digits ~rng:(Srng.stream ~seed ~index:(base + i)) ~k ~space
+        t.digits;
+      let bits = verdict t in
+      for s = 0 to nsent - 1 do
+        if bits land (1 lsl s) <> 0 then hits.(s) <- hits.(s) + 1
+      done
     done;
     Obs.Metrics.add Obs.Metrics.approx_samples (hi - lo);
     hits
@@ -206,6 +318,13 @@ let enforce_bound strata n =
     List.iter (fun s -> s.alloc <- s.alloc + 1) strata
   done
 
+(* The whole plan of the stratified pass, also the oracle's. *)
+let strata ~m ~anchors:a ~k ~n =
+  let strata = strata_of ~m ~a ~free:(k - a) ~total:(B.pow (B.of_int k) m) in
+  allocate strata n;
+  enforce_bound strata n;
+  List.map (fun s -> (s.s_j, s.weight, s.alloc)) strata
+
 (* The idx-th code of [1..k] \ anchors (anchors sorted ascending, all
    ≤ k): walk the anchors, shifting the candidate past each one it
    meets. *)
@@ -215,73 +334,66 @@ let nth_non_anchor anchors k idx =
   assert (!c <= k);
   !c
 
-(* One valuation of stratum j: a uniform j-subset of the nulls gets
-   uniform anchor codes, the rest uniform non-anchor codes — exactly
-   the uniform distribution on V^k conditioned on the stratum. *)
-let draw_stratum ~rng ~nulls_arr ~anchors ~k ~a ~free ~j =
-  let m = Array.length nulls_arr in
-  let picked = ref j and left = ref m in
-  let bindings = ref [] in
-  Array.iter
-    (fun nl ->
-      (* Sequential sampling: include this null with probability
-         picked/left — uniform over the C(m,j) subsets. *)
-      let anchored = Srng.uniform rng !left < !picked in
-      let code =
-        if anchored then begin
-          decr picked;
-          anchors.(Srng.uniform rng a)
-        end
-        else nth_non_anchor anchors k (Srng.uniform rng free)
-      in
-      decr left;
-      bindings := (nl, code) :: !bindings)
-    nulls_arr;
-  Valuation.of_list (List.rev !bindings)
+(* A member of stratum j into [digits]: a uniform j-subset of the
+   nulls gets uniform anchor codes, the rest uniform non-anchor codes —
+   exactly the uniform distribution on V^k conditioned on the
+   stratum. *)
+let draw_stratum ~rng ~anchors ~k ~j digits =
+  let m = Array.length digits and a = Array.length anchors in
+  let picked = ref j in
+  for i = 0 to m - 1 do
+    (* Sequential sampling: include this null with probability
+       picked/left — uniform over the C(m,j) subsets. *)
+    let anchored = Srng.uniform rng (m - i) < !picked in
+    digits.(i) <-
+      (if anchored then begin
+         decr picked;
+         anchors.(Srng.uniform rng a)
+       end
+       else nth_non_anchor anchors k (Srng.uniform rng (k - a)))
+  done
 
-let stratified_pass ?jobs ?guard ~db ~sentence ~anchors_all ~nulls ~k
-    ~eps ~seed ~base n =
-  let nulls_arr = Array.of_list nulls in
-  let m = Array.length nulls_arr in
+let stratified_pass ?jobs ?guard ~db ~sentence ~nulls ~k ~eps ~seed ~base n
+    =
   let anchors =
-    Array.of_list (List.filter (fun c -> c >= 1 && c <= k) anchors_all)
+    Array.of_list
+      (List.filter
+         (fun c -> c >= 1 && c <= k)
+         (Support.anchor_set_sentences_split (Kernel.split db) [ sentence ]))
   in
-  let a = Array.length anchors and total = Enumerate.count ~nulls ~k in
-  let free = k - a in
-  let strata = strata_of ~m ~a ~free ~total in
-  allocate strata n;
-  enforce_bound strata n;
-  Obs.Metrics.add Obs.Metrics.approx_strata (List.length strata);
+  let plan =
+    strata ~m:(List.length nulls) ~anchors:(Array.length anchors) ~k ~n
+  in
+  Obs.Metrics.add Obs.Metrics.approx_strata (List.length plan);
   let estimate, samples, _ =
     List.fold_left
-      (fun (acc, count, offset) s ->
+      (fun (acc, count, offset) (j, weight, alloc) ->
         let chunk lo hi =
-          let chk = Support.checker db sentence in
+          let t = table ~db ~sentences:[ sentence ] ~nulls in
           let hits = ref 0 in
           for i = lo to hi - 1 do
-            let rng = Srng.stream ~seed ~index:(base + offset + i) in
-            let v =
-              draw_stratum ~rng ~nulls_arr ~anchors ~k ~a ~free ~j:s.s_j
-            in
-            if Support.check chk v then incr hits
+            draw_stratum
+              ~rng:(Srng.stream ~seed ~index:(base + offset + i))
+              ~anchors ~k ~j t.digits;
+            if verdict t land 1 <> 0 then incr hits
           done;
           Obs.Metrics.add Obs.Metrics.approx_samples (hi - lo);
           !hits
         in
         let hits =
-          Exec.Pool.fold_range ?jobs ?guard ~min_work ~n:s.alloc ~chunk
+          Exec.Pool.fold_range ?jobs ?guard ~min_work ~n:alloc ~chunk
             ~combine:( + ) 0
         in
-        ( R.add acc (R.mul s.weight (R.of_ints hits s.alloc)),
-          count + s.alloc,
-          offset + s.alloc ))
-      (R.zero, 0, 0) strata
+        ( R.add acc (R.mul weight (R.of_ints hits alloc)),
+          count + alloc,
+          offset + alloc ))
+      (R.zero, 0, 0) plan
   in
   { s_estimate = estimate;
     s_ci_lo = R.max R.zero (R.sub estimate eps);
     s_ci_hi = R.min R.one (R.add estimate eps);
     s_samples = samples;
-    s_strata = List.length strata
+    s_strata = List.length plan
   }
 
 (* ------------------------------------------------------------------ *)
@@ -314,10 +426,9 @@ let mu_k ?jobs ?guard ?cache ?(stratify = false) inst q tuple ~k ~eps ~delta
   let stratified =
     if not stratify then None
     else
-      let anchors_all = Support.anchor_set_sentences inst [ sentence ] in
       Some
-        (stratified_pass ?jobs ?guard ~db ~sentence ~anchors_all ~nulls
-           ~k ~eps ~seed ~base:n n)
+        (stratified_pass ?jobs ?guard ~db ~sentence ~nulls ~k ~eps ~seed
+           ~base:n n)
   in
   { estimate;
     ci_lo = R.max R.zero (R.sub estimate eps);

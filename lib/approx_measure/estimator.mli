@@ -9,20 +9,41 @@
 
       [P(|estimate − µ^k| > ε) < δ].
 
-    {b Sampling.} When [k^m] fits a machine int the sampler draws a
-    uniform rank and decodes it with {!Incomplete.Enumerate.valuation_of_rank}.
-    Beyond the overflow frontier it draws the [m] mixed-radix digits
-    independently — the same distribution (a uniform bigint rank {e is}
-    [m] independent uniform digits in [\[0,k)]), with no bigint in the
-    loop. Every quantity reported is an exact {!Arith.Rat}; floats
-    appear only inside the one-off Hoeffding sample-size ceiling.
+    {b Sampling.} A sample is a digit array: position [i] holds the
+    code of the [i]-th null, with no list, map or {!Incomplete.Valuation.t}
+    built per sample. When [k^m] fits a machine int the sampler draws a
+    uniform rank and decodes it mixed-radix, last null least
+    significant (the visit order of the exact sweep). Beyond the
+    overflow frontier it draws the [m] digits independently — the same
+    distribution (a uniform bigint rank {e is} [m] independent uniform
+    digits in [\[0,k)]), with no bigint in the loop. Every quantity
+    reported is an exact {!Arith.Rat}; floats appear only inside the
+    one-off Hoeffding sample-size ceiling.
+
+    {b Class table.} By the proof of Theorem 1, whether a valuation
+    satisfies a generic sentence depends only on its class
+    ({!Incomplete.Classes}): the equality pattern of the nulls plus the
+    anchors of [C ∪ Const(D)] they hit. Each pool chunk keeps a table
+    from class key to verdict bitmask (one bit per sentence). A key
+    maps an anchor code to its index in the sorted anchor set and any
+    other code to the first position holding the same code. Only the
+    first sample of a class builds a valuation and runs the chunk's
+    compiled kernels; later samples of that class reuse its bits. The
+    table belongs to one chunk and dies with it — no state is shared
+    between domains or kept across requests — and every sample scores
+    the hit the kernel returns for it, so estimates are those of a
+    per-sample loop (differential-tested in
+    [test/test_approx_measure.ml]). {!Obs.Metrics.valuations_evaluated}
+    therefore counts the classes each chunk met, per sentence, not the
+    samples.
 
     {b Determinism.} Sample [i] draws from its own {!Srng.stream}
-    keyed by [(seed, i)], so its verdict is independent of the chunk
-    partition; chunk subtotals are ints summed in chunk order by
-    {!Exec.Pool.fold_range}. A fixed seed therefore reproduces every
-    figure bit-for-bit for any [?jobs] (1/2/4/…), guarded or not —
-    enforced by [scripts/check-approx.sh] in CI.
+    keyed by [(seed, i)], so its digits, and with them its class and
+    hit, are independent of the chunk partition; chunk subtotals are
+    ints summed in chunk order by {!Exec.Pool.fold_range}. A fixed seed
+    therefore reproduces every figure bit-for-bit for any [?jobs]
+    (1/2/4/…), guarded or not — enforced by [scripts/check-approx.sh]
+    in CI.
 
     {b Stratification.} The optional second pass partitions [V^k(D)]
     by {e null support}: stratum [j] holds the valuations mapping
@@ -46,6 +67,13 @@ val sample_size : eps:Arith.Rat.t -> delta:Arith.Rat.t -> int
 (** The Hoeffding bound [⌈ln(2/δ) / (2ε²)⌉] (at least 1): the number
     of samples after which [P(|estimate − µ| > ε) < δ].
     @raise Invalid_argument unless [0 < ε < 1] and [0 < δ < 1]. *)
+
+val strata :
+  m:int -> anchors:int -> k:int -> n:int -> (int * Arith.Rat.t * int) list
+(** The stratified pass's plan for an [n]-sample budget over [m]
+    nulls, with [anchors] anchor codes in [1..k]: one
+    [(j, weight, samples)] per positive-weight stratum, in increasing
+    [j]. The estimate is [Σ weight · hits/samples]. *)
 
 (** {1 Results} *)
 

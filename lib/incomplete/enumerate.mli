@@ -28,9 +28,9 @@ val space_size_exn : nulls:int list -> k:int -> int
 val valuation_of_rank : nulls:int list -> k:int -> int -> Valuation.t
 (** The [r]-th valuation of [V^k(D)] in the visit order of
     {!fold_valuations} (the last null of [nulls] is the least
-    significant mixed-radix digit). Ranks index [\[0, k^m)]; this is
-    what lets a work pool carve the valuation space into contiguous,
-    disjoint chunks.
+    significant mixed-radix digit). Ranks index [\[0, k^m)]. The sweeps
+    and the sampler decode ranks into digit arrays instead; this
+    [Valuation.t] form is the oracle their tests check against.
     @raise Invalid_argument if [k < 1] or the rank is out of range. *)
 
 (** {1 Odometer enumeration}

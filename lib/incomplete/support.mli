@@ -27,13 +27,15 @@
       exactly in chunk order, so the result is bit-identical to the
       sequential count for any [jobs].
     - [?cache] — a {!cache} sharing the kernel database (split +
-      indexes) across calls on the same instance. Verdicts are not
-      memoized: the class and sampling paths evaluate each valuation
-      once per request and a sweep visits each valuation once, so a
-      verdict lookup would cost more than the kernel run it replaces.
-      A cache is tied to the
-      instance it was first used with — never reuse it across
-      databases.
+      indexes) across calls on the same instance. It holds no
+      verdicts: the class path evaluates each representative once per
+      request and a sweep visits each valuation once, so a verdict
+      lookup would cost more than the kernel run it replaces. The
+      approximate sampler ([Approx_measure.Estimator]) does repeat
+      verdicts, and keeps them in a table per pool chunk keyed by
+      valuation class, which takes no lock and dies with the chunk. A
+      cache is tied to the instance it was first used with — never
+      reuse it across databases.
 
     A third knob, [?guard], is the cancellation hook of the query
     service: it is invoked at every pool-chunk boundary

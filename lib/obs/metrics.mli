@@ -72,8 +72,9 @@ val chase_steps : t
 val approx_samples : t
 (** Valuations drawn by the Monte-Carlo estimator
     ([Approx_measure.Estimator]) — uniform and stratified passes
-    both; each sampled valuation also counts one
-    {!valuations_evaluated} per sentence checked on it. *)
+    both. Only the first sample of each valuation class a pool chunk
+    meets is checked, so a pass adds one {!valuations_evaluated} per
+    sentence per class met, not per sample. *)
 
 val approx_strata : t
 (** Null-support strata sampled by the estimator's stratified second

@@ -146,7 +146,9 @@ awk -v min="$MIN_SPEEDUP" -v nshards="$NSHARDS" '
     bad = 1
   }
   /"speedup_vs_1shard":/ {
-    if (match($0, /[0-9.]+/)) { s = substr($0, RSTART, RLENGTH) + 0; seen = 1 }
+    # The number after the colon: the key name itself holds a digit.
+    v = $0; sub(/^[^:]*:[ \t]*/, "", v)
+    if (match(v, /^[0-9.]+/)) { s = substr(v, RSTART, RLENGTH) + 0; seen = 1 }
   }
   END {
     if (!seen) {

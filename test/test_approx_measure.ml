@@ -2,14 +2,21 @@
    Hoeffding sample-size bound, the splitmix64 sample streams, the
    seeded estimator against the exact µ^k / µ^k(Q|Σ) engines, the
    beyond-overflow per-digit sampling path, cross-jobs bit-identity,
-   the serve `approx` op (including a deadline trip mid-sampling), and
-   the well-formedness of the new counters and trace span. *)
+   the class-table sampler against a per-sample oracle, the serve
+   `approx` op (including a deadline trip mid-sampling), and the
+   well-formedness of the new counters and trace span. *)
 
 module Value = Relational.Value
 module Schema = Relational.Schema
 module Instance = Relational.Instance
 module Tuple = Relational.Tuple
+module F = Logic.Formula
+module Query = Logic.Query
 module Parser = Logic.Parser
+module Enumerate = Incomplete.Enumerate
+module Valuation = Incomplete.Valuation
+module Support = Incomplete.Support
+module Classes = Incomplete.Classes
 module AE = Approx_measure.Estimator
 module Srng = Approx_measure.Srng
 module R = Arith.Rat
@@ -208,6 +215,184 @@ let test_conditional () =
         && R.compare exact c.AE.c_ci_hi <= 0))
     [ 1; 2; 3; 5; 8; 13; 21; 34 ]
 
+(* --- the per-sample oracle ------------------------------------------ *)
+
+(* The sampler without its class table: every sample is built as a
+   Valuation.t and checked by the compiled kernel. It draws from the
+   same (seed, index) streams in the same order as the estimator, so
+   the two must agree on every sample's hit. *)
+
+let uniform_samples ~nulls ~k ~seed ~base n =
+  let space = Enumerate.space_size ~nulls ~k in
+  List.init n (fun i ->
+      let rng = Srng.stream ~seed ~index:(base + i) in
+      match space with
+      | Some size -> Enumerate.valuation_of_rank ~nulls ~k (Srng.uniform rng size)
+      | None ->
+          Valuation.of_list
+            (List.map (fun nl -> (nl, 1 + Srng.uniform rng k)) nulls))
+
+(* The idx-th code of [1..k] minus the (sorted, ≤ k) anchors. *)
+let nth_non_anchor anchors idx =
+  let c = ref (idx + 1) in
+  Array.iter (fun a -> if a <= !c then incr c) anchors;
+  !c
+
+let stratum_sample ~rng ~nulls ~anchors ~k ~j =
+  let a = Array.length anchors in
+  let picked = ref j and left = ref (List.length nulls) in
+  let bindings =
+    List.map
+      (fun nl ->
+        let anchored = Srng.uniform rng !left < !picked in
+        let code =
+          if anchored then begin
+            decr picked;
+            anchors.(Srng.uniform rng a)
+          end
+          else nth_non_anchor anchors (Srng.uniform rng (k - a))
+        in
+        decr left;
+        (nl, code))
+      nulls
+  in
+  Valuation.of_list bindings
+
+(* The stratified pass's samples: (weight, members) per stratum. *)
+let stratified_samples ~anchor_set ~nulls ~k ~seed ~base n =
+  let anchors =
+    Array.of_list (List.filter (fun c -> c >= 1 && c <= k) anchor_set)
+  in
+  let plan =
+    AE.strata ~m:(List.length nulls) ~anchors:(Array.length anchors) ~k ~n
+  in
+  let _, rev =
+    List.fold_left
+      (fun (offset, acc) (j, weight, alloc) ->
+        let members =
+          List.init alloc (fun i ->
+              stratum_sample
+                ~rng:(Srng.stream ~seed ~index:(base + offset + i))
+                ~nulls ~anchors ~k ~j)
+        in
+        (offset + alloc, (weight, members) :: acc))
+      (0, []) plan
+  in
+  List.rev rev
+
+let oracle_hits chk vs = List.length (List.filter (Support.check chk) vs)
+
+let oracle_stratified chk strata =
+  List.fold_left
+    (fun acc (weight, members) ->
+      R.add acc
+        (R.mul weight (R.of_ints (oracle_hits chk members) (List.length members))))
+    R.zero strata
+
+(* Random FO sentences over R/2 and S/1 with =, ¬, ∀ and ∃. Constants
+   are codes 1..6; the instances only use 1..4, so 5 and 6 are anchors
+   of the query alone. Nulls are ~1..~3. *)
+let gen_value st =
+  if Random.State.int st 3 = 0 then Value.null (1 + Random.State.int st 3)
+  else Value.const (1 + Random.State.int st 4)
+
+let gen_instance st =
+  let rows bound arity =
+    List.init (1 + Random.State.int st bound) (fun _ ->
+        List.init arity (fun _ -> gen_value st))
+  in
+  Instance.of_rows (Schema.make [ ("R", 2); ("S", 1) ])
+    [ ("R", rows 4 2); ("S", rows 3 1) ]
+
+let rec gen_formula st ~vars ~depth =
+  let term () =
+    if vars = [] || Random.State.int st 3 = 0 then
+      F.Val (Value.const (1 + Random.State.int st 6))
+    else F.Var (List.nth vars (Random.State.int st (List.length vars)))
+  in
+  let sub ?(vars = vars) () = gen_formula st ~vars ~depth:(depth - 1) in
+  if depth = 0 then
+    match Random.State.int st 3 with
+    | 0 -> F.Atom ("R", [ term (); term () ])
+    | 1 -> F.Atom ("S", [ term () ])
+    | _ -> F.Eq (term (), term ())
+  else
+    match Random.State.int st 5 with
+    | 0 -> F.Not (sub ())
+    | 1 -> F.And (sub (), sub ())
+    | 2 -> F.Or (sub (), sub ())
+    | _ ->
+        let v = List.nth [ "y"; "z" ] (Random.State.int st 2) in
+        let body = sub ~vars:(v :: vars) () in
+        if Random.State.bool st then F.Exists (v, body) else F.Forall (v, body)
+
+let eps20 = R.of_ints 1 20
+
+let test_class_table_oracle () =
+  (* 600 samples per uniform pass (738 for the conditional) split
+     across chunks at jobs 2 and 4; k = 3 lies below the largest anchor
+     code, 9 above it, and 3·10^9 puts two or more nulls past the rank
+     frontier onto the per-digit draw path. *)
+  let wide = ref 0 in
+  for case = 0 to 29 do
+    let st = Random.State.make [| 0xc1a55; case |] in
+    let inst = gen_instance st in
+    let q = Query.make [ "x" ] (gen_formula st ~vars:[ "x" ] ~depth:3) in
+    let tuple = Tuple.of_list [ Value.null (1 + Random.State.int st 3) ] in
+    let sigma = gen_formula st ~vars:[] ~depth:2 in
+    let seed = Random.State.int st 1_000_000 in
+    let db = Incomplete.Kernel.db_of_instance inst in
+    let answer = Query.instantiate q tuple in
+    let nulls =
+      List.sort_uniq Int.compare (Instance.nulls inst @ Tuple.nulls tuple)
+    in
+    let cnulls = List.sort_uniq Int.compare (nulls @ F.nulls sigma) in
+    let chk = Support.checker db answer
+    and chk_sig = Support.checker db sigma
+    and chk_both = Support.checker db (F.And (sigma, answer)) in
+    List.iter
+      (fun k ->
+        if Enumerate.space_size ~nulls ~k = None then incr wide;
+        let n = AE.sample_size ~eps:eps20 ~delta:eps10 in
+        let uniform = uniform_samples ~nulls ~k ~seed ~base:0 n in
+        let strata =
+          stratified_samples
+            ~anchor_set:(Support.anchor_set_sentences inst [ answer ])
+            ~nulls ~k ~seed ~base:n n
+        in
+        let cn = AE.sample_size ~eps:eps20 ~delta:eps20 in
+        let cond = uniform_samples ~nulls:cnulls ~k ~seed ~base:0 cn in
+        List.iter
+          (fun jobs ->
+            let what =
+              Printf.sprintf "case %d, k = %d, jobs %d (%s)" case k jobs
+                (F.to_string answer)
+            in
+            let e =
+              AE.mu_k ~jobs ~stratify:true inst q tuple ~k ~eps:eps20
+                ~delta:eps10 ~seed
+            in
+            check Alcotest.int (what ^ ": hits") (oracle_hits chk uniform)
+              e.AE.hits;
+            let s = Option.get e.AE.stratified in
+            check rat_t (what ^ ": stratified") (oracle_stratified chk strata)
+              s.AE.s_estimate;
+            check Alcotest.int (what ^ ": stratified samples")
+              (List.fold_left (fun acc (_, m) -> acc + List.length m) 0 strata)
+              s.AE.s_samples;
+            let c =
+              AE.mu_cond_k ~jobs ~sigma inst q tuple ~k ~eps:eps20
+                ~delta:eps10 ~seed
+            in
+            check Alcotest.int (what ^ ": Σ ∧ Q hits") (oracle_hits chk_both cond)
+              c.AE.c_hits_num;
+            check Alcotest.int (what ^ ": Σ hits") (oracle_hits chk_sig cond)
+              c.AE.c_hits_den)
+          [ 1; 2; 4 ])
+      [ 3; 9; 3_000_000_000 ]
+  done;
+  check Alcotest.bool "some cases took the per-digit path" true (!wide > 0)
+
 (* --- randomized properties ---------------------------------------- *)
 
 let eps4 = R.of_ints 1 4
@@ -388,9 +573,12 @@ let test_metrics_counters () =
       Obs.Metrics.disable ();
       Obs.Metrics.reset ())
     (fun () ->
+      let k = 6 and seed = 42 in
       let e =
-        AE.mu_k ~stratify:true db q t ~k:6 ~eps:eps10 ~delta:delta20 ~seed:42
+        AE.mu_k ~jobs:1 ~stratify:true db q t ~k ~eps:eps10 ~delta:delta20
+          ~seed
       in
+      let evaluated = Obs.Metrics.value Obs.Metrics.valuations_evaluated in
       let s = Option.get e.AE.stratified in
       check Alcotest.int "approx_samples counts both passes"
         (e.AE.samples + s.AE.s_samples)
@@ -398,10 +586,32 @@ let test_metrics_counters () =
       check Alcotest.int "approx_strata counts sampled strata"
         s.AE.s_strata
         (Obs.Metrics.value Obs.Metrics.approx_strata);
-      (* each sample checked the one instantiated sentence *)
-      check Alcotest.bool "samples also count as evaluations" true
-        (Obs.Metrics.value Obs.Metrics.valuations_evaluated
-        >= e.AE.samples + s.AE.s_samples))
+      (* With jobs 1 the uniform pass is one chunk and each stratum is
+         one chunk, so the kernel runs once per class each table met. *)
+      let sentence = Query.instantiate q t in
+      let anchor_set = Support.anchor_set_sentences db [ sentence ] in
+      let nulls =
+        List.sort_uniq Int.compare (Instance.nulls db @ Tuple.nulls t)
+      in
+      let classes vs =
+        List.fold_left
+          (fun seen v ->
+            let c = Classes.classify ~anchor_set ~nulls v in
+            if List.exists (Classes.same_class c) seen then seen else c :: seen)
+          [] vs
+        |> List.length
+      in
+      let expected =
+        classes (uniform_samples ~nulls ~k ~seed ~base:0 e.AE.samples)
+        + List.fold_left
+            (fun acc (_, members) -> acc + classes members)
+            0
+            (stratified_samples ~anchor_set ~nulls ~k ~seed ~base:e.AE.samples
+               e.AE.samples)
+      in
+      check Alcotest.int "one evaluation per class met" expected evaluated;
+      check Alcotest.int "every evaluation runs the kernel" evaluated
+        (Obs.Metrics.value Obs.Metrics.kernel_refreshes))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -443,7 +653,9 @@ let () =
             test_stratified_accuracy;
           Alcotest.test_case "beyond the overflow frontier" `Quick
             test_overflow_frontier;
-          Alcotest.test_case "conditional CI vs exact" `Quick test_conditional
+          Alcotest.test_case "conditional CI vs exact" `Quick test_conditional;
+          Alcotest.test_case "class table ≡ per-sample oracle" `Quick
+            test_class_table_oracle
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
