@@ -83,20 +83,21 @@ let tuple2_arg =
 
 let ks_arg =
   let doc =
-    "Domain sizes k at which to report µ^k (comma-separated). The exact \
-     series is counted from the valuation classes, so it costs no sweep of \
-     the k^m valuations; a k whose valuation space exceeds a machine \
-     integer is still refused."
+    "Domain sizes k at which to report µ^k (comma-separated, each >= 0). The \
+     exact series is counted from the valuation classes in big integers, so \
+     it costs no sweep of the k^m valuations and answers at every k, also \
+     where k^m exceeds a machine integer."
   in
   Arg.(value & opt (some string) None & info [ "k"; "ks" ] ~docv:"K,K,..." ~doc)
 
 let approx_arg =
   let doc =
-    "Estimate the µ^k series by seeded Monte-Carlo sampling instead of exact \
-     enumeration: draw a Hoeffding-sized sample of valuations so that \
-     P(|estimate − µ^k| > EPS) < DELTA. Works on valuation spaces far beyond \
-     the exact engine's overflow frontier; with a fixed --seed the figures \
-     are bit-identical for every --jobs."
+    "Estimate the µ^k series by seeded Monte-Carlo sampling instead of the \
+     exact class count: draw a Hoeffding-sized sample of valuations so that \
+     P(|estimate − µ^k| > EPS) < DELTA. The sample count depends on EPS and \
+     DELTA only, not on the number of valuation classes the exact count \
+     visits; with a fixed --seed the figures are bit-identical for every \
+     --jobs."
   in
   Arg.(value & opt (some string) None
        & info [ "approx" ] ~docv:"EPS,DELTA" ~doc)
@@ -113,15 +114,6 @@ let stratify_arg =
      guarantee, usually tighter in practice."
   in
   Arg.(value & flag & info [ "stratify" ] ~doc)
-
-let no_decomp_arg =
-  let doc =
-    "Skip the decomposition gate: treat the valuation space as one block \
-     even when the support sentence decomposes into independent components \
-     (ANL401), so no decomposition line is printed and the space preflight \
-     checks the whole k^m space. The series is the same either way."
-  in
-  Arg.(value & flag & info [ "no-decomp" ] ~doc)
 
 let parse_approx = function
   | None -> None
@@ -325,33 +317,13 @@ let pipeline_or_die = function
           Printf.eprintf
             "error: the query mentions null ~%d, which occurs in neither the \
              database nor the tuple\n"
-            n
-      | Pipeline.Space_too_large { k; nulls; size } ->
-          Printf.eprintf
-            "error: k = %d over %d nulls gives a valuation space of %s \
-             valuations — too large to enumerate; pick smaller --ks, or \
-             estimate it with --approx EPS,DELTA (e.g. --approx 0.05,0.01)\n"
-            k nulls
-            (Arith.Bigint.to_string size)
-      | Pipeline.Component_too_large { k; component; nulls; total_nulls; size }
-        ->
-          Printf.eprintf
-            "error: k = %d still gives component %d (%d of the %d nulls) a \
-             space of %s valuations — too large to enumerate even factorized \
-             (ANL403); pick smaller --ks, or estimate with --approx \
-             EPS,DELTA (the sampler works per component)\n"
-            k component nulls total_nulls
-            (Arith.Bigint.to_string size));
+            n);
       exit 2
 
-(* The route of an exact series, announced when it is factorized;
-   --no-decomp forces the monolithic reference. *)
-let exact_route ~no_decomp inst target ks =
-  let route =
-    pipeline_or_die (Pipeline.route ~decomp:(not no_decomp) inst target ~ks)
-  in
+(* The route of a series, announced when it is factorized. *)
+let print_route route =
   let parts d = Analysis.Decomp.parts d in
-  (match route with
+  match route with
   | Pipeline.Factorized [ d ] ->
       Printf.printf "decomposition: %d independent parts, %s (ANL401)\n"
         (parts d)
@@ -365,11 +337,11 @@ let exact_route ~no_decomp inst target ks =
         (parts dden)
         (if parts dden = 1 then "" else "s")
         (Analysis.Decomp.sizes_string dden)
-  | _ -> ());
-  route
+  | _ -> ()
 
-let print_exact_series ~census ~label ~cell inst target route ks =
-  let series = pipeline_or_die (Pipeline.series ~census inst target route ~ks) in
+let print_exact_series ~census ~label ~cell inst target ks =
+  let series = pipeline_or_die (Pipeline.series ~census inst target ~ks) in
+  print_route (Pipeline.route inst target ~ks);
   Printf.printf "%s series (exact):\n" label;
   List.iter
     (fun (k, v) ->
@@ -378,8 +350,8 @@ let print_exact_series ~census ~label ~cell inst target route ks =
     series
 
 let measure_cmd =
-  let run schema db query tuple ks approx seed stratify no_decomp jobs strict
-      metrics metrics_json trace =
+  let run schema db query tuple ks approx seed stratify jobs strict metrics
+      metrics_json trace =
     with_obs ~metrics ~metrics_json ~trace @@ fun () ->
     with_context schema db query (fun sch inst q ->
         let jobs = jobs_opt jobs
@@ -400,21 +372,20 @@ let measure_cmd =
           (Format.asprintf "%a" Zeroone.Measure.pp_verdict m.Pipeline.verdict);
         let ks = parse_ks inst ks in
         let target = Pipeline.Answer (q, tuple) in
-        let route = exact_route ~no_decomp inst target ks in
         match approx with
         | None ->
             print_exact_series ~census:m.Pipeline.census ~label:"µ^k"
-              ~cell:"µ^k = " inst target route ks
+              ~cell:"µ^k = " inst target ks
         | Some (eps, delta) -> (
-            (* No space preflight here — sampling beyond the exact
-               engine's overflow frontier is the point — but the
-               sampler needs a nonempty space. *)
+            (* The sampler needs a nonempty space. *)
             (match List.find_opt (fun k -> k < 1) ks with
             | Some k ->
                 Printf.eprintf
                   "error: --approx needs --ks entries >= 1, got %d\n" k;
                 exit 2
             | None -> ());
+            let route = Pipeline.route inst target ~ks in
+            print_route route;
             match route with
             | Pipeline.Factorized [ d ] when not stratify ->
                 let plan = Option.get (Analysis.Decomp.plan d) in
@@ -473,12 +444,12 @@ let measure_cmd =
   in
   Cmd.v (Cmd.info "measure" ~doc)
     Term.(const run $ schema_arg $ db_arg $ query_arg $ tuple_arg $ ks_arg
-          $ approx_arg $ seed_arg $ stratify_arg $ no_decomp_arg $ jobs_arg
+          $ approx_arg $ seed_arg $ stratify_arg $ jobs_arg
           $ strict_arg $ metrics_arg $ metrics_json_arg $ trace_arg)
 
 let conditional_cmd =
-  let run schema db query cstr tuple ks no_decomp jobs strict metrics
-      metrics_json trace =
+  let run schema db query cstr tuple ks jobs strict metrics metrics_json
+      trace =
     with_obs ~metrics ~metrics_json ~trace @@ fun () ->
     with_context schema db query (fun sch inst q ->
         let jobs = jobs_opt jobs
@@ -519,9 +490,7 @@ let conditional_cmd =
             let ks = parse_ks inst ks in
             let target = Pipeline.Given (sigma, q, tuple) in
             print_exact_series ~census:report.Zeroone.Conditional.census
-              ~label:"µ^k(Q|Σ)" ~cell:"" inst target
-              (exact_route ~no_decomp inst target ks)
-              ks)
+              ~label:"µ^k(Q|Σ)" ~cell:"" inst target ks)
   in
   let doc =
     "Conditional measure µ(Q|Σ,D,t) under integrity constraints (Theorem 3); \
@@ -529,7 +498,7 @@ let conditional_cmd =
   in
   Cmd.v (Cmd.info "conditional" ~doc)
     Term.(const run $ schema_arg $ db_arg $ query_arg $ constraints_arg
-          $ tuple_arg $ ks_arg $ no_decomp_arg $ jobs_arg $ strict_arg
+          $ tuple_arg $ ks_arg $ jobs_arg $ strict_arg
           $ metrics_arg $ metrics_json_arg $ trace_arg)
 
 let best_cmd =

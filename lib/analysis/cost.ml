@@ -56,27 +56,27 @@ let largest_component (d : Decomp.t) =
          empty valuation decides it. *)
       Some (Option.value largest ~default:(0, B.one, Some 1))
 
-let diagnostics ?decomp c =
-  let post = Option.bind decomp largest_component in
+let diagnostics ?certificate c =
+  let post = Option.bind certificate largest_component in
   match (c.machine, post) with
   | None, None ->
       [ Diag.warning ~code:"ANL201" ~loc:"cost"
           ~hint:
-            "exhaustive enumeration cannot terminate; use the symbolic \
-             support-polynomial path (measure's µ_symbolic) which is \
-             polynomial in k"
+            "no sweep can enumerate it; measure and conditional count \
+             valuation classes instead, exactly at every k, at a cost that \
+             does not grow with k"
           (Printf.sprintf
              "valuation space blows up: k^m = %d^%d = %s overflows machine \
               integers"
              c.k c.nulls (B.to_string c.space))
       ]
   | None, Some (nulls, space, None) ->
-      (* Decomposed, but the largest component alone still overflows:
-         only that component needs --approx (ANL403 names it). *)
+      (* Decomposed, but the largest component alone still overflows
+         (ANL403 names it). *)
       [ Diag.warning ~code:"ANL201" ~loc:"cost"
           ~hint:
-            "route the oversized component to --approx; the other \
-             components stay exact"
+            "no sweep can enumerate that component; measure and \
+             conditional count valuation classes instead, exactly at every k"
           (Printf.sprintf
              "valuation space blows up even after decomposition: largest \
               component k^m_i = %d^%d = %s overflows machine integers"

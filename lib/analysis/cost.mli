@@ -5,9 +5,9 @@
     valuations for [m] nulls. This module bounds that space through
     {!Incomplete.Enumerate.space_size}/{!Incomplete.Enumerate.count}
     and turns the bound into diagnostics: a blow-up warning when [k^m]
-    overflows machine integers (exhaustive enumeration is hopeless;
-    the symbolic support-polynomial path is the only exact option) and
-    a parallelism hint when the space is large but tractable. *)
+    overflows machine integers (no sweep can enumerate it; the class
+    census that [measure] and [conditional] run still answers exactly)
+    and a parallelism hint when the space is large but tractable. *)
 
 type t = {
   nulls : int;  (** [m], counting nulls of the database and the tuple *)
@@ -24,12 +24,11 @@ val analyse :
 (** [k] defaults to [Instance.max_constant + 16], the largest domain of
     the CLI's default [µ^k] series. *)
 
-val diagnostics : ?decomp:Decomp.t -> t -> Diag.t list
+val diagnostics : ?certificate:Decomp.t -> t -> Diag.t list
 (** ANL201 (overflow) or ANL202 (large but machine-representable);
     empty when the space is small. With a decomposition certificate
     the bounds are post-decomposition: the largest component's space
     replaces the monolithic [k^m], so ANL201 only fires when a
-    component is genuinely over the frontier and the [--approx] hint
-    targets that component alone. *)
+    component is genuinely over the frontier. *)
 
 val to_json : t -> string

@@ -177,12 +177,13 @@ let diagnostics cert =
                 else
                   [ Diag.warning ~code:"ANL403" ~loc:"decomp"
                       ~hint:
-                        "pass --approx EPS,DELTA: the estimator samples \
-                         oversized components and keeps the rest exact"
+                        "the exact µ^k series is read off the class census \
+                         at any k; --approx samples such a component per \
+                         null and keeps the rest exact"
                       (Printf.sprintf
                          "component %d (%d nulls over %s) still exceeds the \
-                          exact enumeration frontier at k = %d; route that \
-                          component alone to --approx"
+                          machine-integer frontier at k = %d: no sweep \
+                          enumerates it"
                          (i + 1)
                          (List.length c.Factor.c_nulls)
                          (String.concat ", " c.Factor.c_relations)

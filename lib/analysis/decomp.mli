@@ -12,9 +12,9 @@
     - [ANL402] (hint): no decomposition — a single component spans
       every null, or a conjunct fails the {!Incomplete.Factor.dsafe}
       guardedness check;
-    - [ANL403] (warning): a component exceeds the exact enumeration
-      frontier even after decomposition — route that component alone
-      to [--approx].
+    - [ANL403] (warning): a component exceeds the machine-integer
+      frontier even after decomposition — no sweep enumerates it (the
+      class census still counts it exactly).
 
     A [Decomposable] or [Trivial] certificate converts to the
     {!Incomplete.Factor.plan} the factorized evaluators run on; the
@@ -36,7 +36,7 @@ type t = {
   spaces : Arith.Bigint.t list;  (** per component, [k^mᵢ], exact *)
   machines : int option list;
       (** per component, [k^mᵢ] as machine int; [None] = over the
-          exact frontier *)
+          machine-integer frontier *)
 }
 
 val analyze :

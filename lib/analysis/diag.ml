@@ -56,7 +56,7 @@ let registry =
     ("ANL307", Warning, "special-edge cycle: chase termination not guaranteed, bounded run only");
     ("ANL401", Hint, "support sentence decomposes: factorized evaluation collapses k^m to sum of k^m_i");
     ("ANL402", Hint, "support sentence does not decompose (single component or unguarded quantifier)");
-    ("ANL403", Warning, "a component exceeds the exact frontier even after decomposition: route it to --approx")
+    ("ANL403", Warning, "a component exceeds the machine-integer frontier even after decomposition: no sweep enumerates it")
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -57,7 +57,9 @@ let analyze ?inst ?deps ?tuple ?k schema q =
     diags = Safety.check_query schema q;
     hints =
       Classify.dispatch_hints ?deps ~schema q
-      @ (match cost with None -> [] | Some c -> Cost.diagnostics ?decomp c)
+      @ (match cost with
+        | None -> []
+        | Some c -> Cost.diagnostics ?certificate:decomp c)
       @ (match decomp with None -> [] | Some d -> Decomp.diagnostics d)
   }
 

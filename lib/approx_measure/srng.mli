@@ -24,12 +24,13 @@ val stream : seed:int -> index:int -> t
     decorrelated streams (each initial state is a splitmix64 hash of
     the pair). *)
 
-val next : t -> int64
-(** The next raw 64-bit draw. *)
+val next62 : t -> int
+(** The top 62 bits of the next 64-bit draw, as a nonnegative int.
+    Draws allocate nothing. *)
 
 val uniform : t -> int -> int
 (** [uniform t bound] draws uniformly from [\[0, bound)], unbiased, by
-    rejection over the top 62 bits of {!next} (so [bound] may be any
+    rejection over {!next62} (so [bound] may be any
     positive OCaml int, including a full [max_int]-sized valuation
     space). [uniform t 1] is [0] and consumes no draw.
     @raise Invalid_argument if [bound < 1]. *)

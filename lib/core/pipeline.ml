@@ -1,20 +1,9 @@
 module Tuple = Relational.Tuple
 module Decomp = Analysis.Decomp
-module Factor = Incomplete.Factor
 module B = Arith.Bigint
 module Rat = Arith.Rat
 
-type error =
-  | Negative_k of int
-  | Unknown_null of int
-  | Space_too_large of { k : int; nulls : int; size : Arith.Bigint.t }
-  | Component_too_large of {
-      k : int;
-      component : int;
-      nulls : int;
-      total_nulls : int;
-      size : Arith.Bigint.t;
-    }
+type error = Negative_k of int | Unknown_null of int
 
 type target =
   | Answer of Logic.Query.t * Tuple.t
@@ -68,27 +57,22 @@ let check_ks ks =
   | Some k -> Error (Negative_k k)
   | None -> Ok ()
 
-let route ?(decomp = true) inst target ~ks =
-  let* () = check_ks ks in
+let route inst target ~ks =
   let k = List.fold_left max 1 ks in
   let certificates =
-    if not decomp then []
-    else
-      match target with
-      | Answer (q, tuple) ->
-          [ Decomp.analyze ~k ~extra_nulls:(Tuple.nulls tuple) inst
-              (Logic.Query.instantiate q tuple) ]
-      | Given (sigma, q, tuple) ->
-          let dnum, dden = Conditional.cond_decomp ~k ~sigma inst q tuple in
-          [ dnum; dden ]
+    match target with
+    | Answer (q, tuple) ->
+        [ Decomp.analyze ~k ~extra_nulls:(Tuple.nulls tuple) inst
+            (Logic.Query.instantiate q tuple) ]
+    | Given (sigma, q, tuple) ->
+        let dnum, dden = Conditional.cond_decomp ~k ~sigma inst q tuple in
+        [ dnum; dden ]
   in
   if
     List.exists (fun d -> d.Decomp.verdict = Decomp.Decomposable) certificates
     && List.for_all (fun d -> Decomp.plan d <> None) certificates
-  then Ok (Factorized certificates)
-  else Ok Monolithic
-
-let plan d = Option.get (Decomp.plan d)
+  then Factorized certificates
+  else Monolithic
 
 (* The nulls of V^k: those of D, ā and Σ. *)
 let space_nulls inst target =
@@ -99,51 +83,13 @@ let space_nulls inst target =
     | Answer (_, tuple) -> Tuple.nulls tuple
     | Given (sigma, _, tuple) -> Tuple.nulls tuple @ Logic.Formula.nulls sigma)
 
-(* The wire contract refuses a series whose space does not fit in an
-   int, as it did when the series was a sweep. A factorized route only
-   refuses a component's space — the free-null factor is bigint
-   arithmetic. Checked plan by plan, then k by k, then component by
-   component. *)
-let preflight inst target route ~ks =
-  let nulls = space_nulls inst target in
-  let total_nulls = List.length nulls in
-  let plans =
-    match route with
-    | Monolithic -> [ [ (None, nulls) ] ]
-    | Factorized ds ->
-        List.map
-          (fun d ->
-            List.mapi
-              (fun i (c : Factor.component) -> (Some (i + 1), c.Factor.c_nulls))
-              (plan d).Factor.components)
-          ds
-  in
-  let over k (component, nulls) =
-    match Incomplete.Enumerate.space_size_exn ~nulls ~k with
-    | _ -> None
-    | exception Arith.Bigint.Overflow size ->
-        Some
-          (match component with
-          | None -> Space_too_large { k; nulls = total_nulls; size }
-          | Some component ->
-              Component_too_large
-                { k; component; nulls = List.length nulls; total_nulls; size })
-  in
-  match
-    List.find_map
-      (fun spaces -> List.find_map (fun k -> List.find_map (over k) spaces) ks)
-      plans
-  with
-  | None -> Ok ()
-  | Some e -> Error e
-
 (* µ^k off the census. A null of V^k that no counted sentence mentions
    (a tuple null outside D that the query body ignores) multiplies
    every count and k^m alike by k; it changes a quotient only at k = 0,
-   where V^k is empty and µ^k is 0. *)
-let series ~census inst target route ~ks =
+   where V^k is empty and µ^k is 0. Every count is a Bigint, so no k
+   is too large. *)
+let series ~census inst target ~ks =
   let* () = check_ks ks in
-  let* () = preflight inst target route ~ks in
   let nulls = space_nulls inst target in
   if
     not

@@ -140,24 +140,3 @@ let is_certain_sentence ?cache inst sentence =
 
 let is_possible_sentence ?cache inst sentence =
   List.exists Fun.id (sentence_classes ?cache inst sentence)
-
-(* Factorized certainty: valuations restrict and recombine freely
-   across components (they assign nulls independently), so
-   ∀v.φ[v] ⟺ ∧ⱼ ∀vⱼ.φⱼ[vⱼ] and ∃v.φ[v] ⟺ ∧ⱼ ∃vⱼ.φⱼ[vⱼ] for a sound
-   plan. Each component runs the class machinery on its own kernel
-   restriction. *)
-let component_instances inst (plan : Factor.plan) =
-  List.map
-    (fun (c : Factor.component) ->
-      (Factor.restricted_instance inst c.Factor.c_relations, c.Factor.c_sentence))
-    plan.Factor.components
-
-let is_certain_sentence_plan inst plan =
-  List.for_all
-    (fun (restricted, sentence) -> is_certain_sentence restricted sentence)
-    (component_instances inst plan)
-
-let is_possible_sentence_plan inst plan =
-  List.for_all
-    (fun (restricted, sentence) -> is_possible_sentence restricted sentence)
-    (component_instances inst plan)

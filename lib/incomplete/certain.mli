@@ -75,17 +75,3 @@ val is_certain_sentence :
 
 val is_possible_sentence :
   ?cache:Support.cache -> Relational.Instance.t -> Logic.Formula.t -> bool
-
-val is_certain_sentence_plan :
-  Relational.Instance.t -> Factor.plan -> bool
-(** Decomposition-aware certainty: each component of a sound plan is
-    decided by {!is_certain_sentence} on its own kernel restriction
-    and the answers are conjoined — valuations assign nulls
-    independently, so the class sweeps shrink from the product of the
-    component spaces to their sum. Agrees with {!is_certain_sentence}
-    on the undecomposed sentence (property-tested). *)
-
-val is_possible_sentence_plan :
-  Relational.Instance.t -> Factor.plan -> bool
-(** Same factorization for possibility ([∃v] distributes over
-    independent components just like [∀v]). *)

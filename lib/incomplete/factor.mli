@@ -6,9 +6,8 @@
     interaction graph and the [k^m] sweep collapses to [Σᵢ k^{mᵢ}].
     This module holds the plan representation shared by the planner
     ([Analysis.Decomp], which builds plans and proves them sound) and
-    the evaluators ({!Support.supp_count_plan},
-    [Certain.is_certain_sentence_plan], the per-component sampler of
-    [Approx_measure.Estimator]).
+    the evaluators ({!Support.supp_count_plan}, the per-component
+    sampler of [Approx_measure.Estimator]).
 
     The soundness side conditions live here too, next to the kernel
     they reason about: {!dsafe} is the syntactic guardedness check

@@ -29,11 +29,3 @@ let fresh () =
       let code = !next in
       incr next;
       code)
-
-let registered_count () = Mutex.protect lock (fun () -> !next - 1)
-
-let reset () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.reset table;
-      Hashtbl.reset reverse;
-      next := 1)

@@ -8,7 +8,7 @@
     examples can speak of ["Alice"] or ["c1"] while all counting
     machinery works over [1..k].
 
-    The registry is global and monotone; {!reset} exists for tests. *)
+    The registry is global and monotone. *)
 
 val intern : string -> int
 (** Returns the code for this name, allocating the next free positive
@@ -24,9 +24,3 @@ val fresh : unit -> int
 (** Allocates a constant code with no display name (useful as a "brand
     new constant not occurring anywhere", e.g. for bijective
     valuations). *)
-
-val registered_count : unit -> int
-(** Number of codes allocated so far. *)
-
-val reset : unit -> unit
-(** Clears the registry. Only for test isolation. *)

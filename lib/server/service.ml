@@ -81,20 +81,6 @@ let pipeline_error = function
           "query mentions null ~%d, which occurs in neither the db nor the \
            tuple"
           n )
-  | Pipeline.Space_too_large { k; nulls; size } ->
-      ( Wire.Bad_request,
-        Printf.sprintf
-          "k = %d over %d nulls gives a valuation space of %s valuations; too \
-           large to enumerate"
-          k nulls
-          (Arith.Bigint.to_string size) )
-  | Pipeline.Component_too_large { k; component; nulls; size; _ } ->
-      ( Wire.Bad_request,
-        Printf.sprintf
-          "k = %d gives component %d (%d nulls) a space of %s valuations; too \
-           large to enumerate even factorized"
-          k component nulls
-          (Arith.Bigint.to_string size) )
 
 let pipeline r = Result.map_error pipeline_error r
 
@@ -106,10 +92,9 @@ let series_fields ~census inst target req =
   match ks with
   | None -> Ok []
   | Some ks ->
-      let* route = pipeline (Pipeline.route inst target ~ks) in
-      let* series = pipeline (Pipeline.series ~census inst target route ~ks) in
+      let* series = pipeline (Pipeline.series ~census inst target ~ks) in
       let decomp =
-        match route with
+        match Pipeline.route inst target ~ks with
         | Pipeline.Monolithic -> []
         | Pipeline.Factorized [ d ] ->
             [ ("decomp_parts", Wire.I (Analysis.Decomp.parts d));
@@ -128,20 +113,21 @@ let series_fields ~census inst target req =
    only aborts under --strict), the server always refuses queries with
    analysis errors: there is no terminal to warn on, and a typed
    response with the stable codes is more useful to a remote caller
-   than a half-run evaluation. *)
-let precheck ?deps ?tuple schema inst q =
-  let report = Analysis.Report.analyze ~inst ?deps ?tuple schema q in
-  if not (Analysis.Report.has_errors report) then Ok ()
-  else
-    let codes =
-      Analysis.Report.all_diags report
-      |> List.filter (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Error)
-      |> List.map (fun d -> d.Analysis.Diag.code)
-      |> List.sort_uniq String.compare
-    in
-    Error
-      ( Wire.Analysis_error,
-        "static analysis failed: " ^ String.concat " " codes )
+   than a half-run evaluation. Only the query checks (ANL001–003) are
+   errors, so the gate runs those alone: the cost, decomposition and
+   dispatch hints of a full report could only warn. *)
+let precheck schema q =
+  match
+    Analysis.Safety.check_query schema q
+    |> List.filter (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Error)
+    |> List.map (fun d -> d.Analysis.Diag.code)
+    |> List.sort_uniq String.compare
+  with
+  | [] -> Ok ()
+  | codes ->
+      Error
+        ( Wire.Analysis_error,
+          "static analysis failed: " ^ String.concat " " codes )
 
 (* Render in name order, not code order: relation sets iterate in
    constant-code order, and codes are process-global intern state —
@@ -168,7 +154,7 @@ let run_certain ~sessions ?jobs ?guard req =
   let* qs = require req "query" in
   let* q = parse_query qs in
   let* () = well_formed entry.Session.schema q in
-  let* () = precheck entry.Session.schema inst q in
+  let* () = precheck entry.Session.schema q in
   let certain = Incomplete.Certain.certain_answers ?jobs ?guard ~cache inst q in
   let possible =
     Incomplete.Certain.possible_answers ?jobs ?guard ~cache inst q
@@ -190,7 +176,7 @@ let run_measure ~sessions ?jobs ?guard req =
   let* q = parse_query qs in
   let* () = well_formed entry.Session.schema q in
   let* tuple = get_tuple req q in
-  let* () = precheck ~tuple entry.Session.schema inst q in
+  let* () = precheck entry.Session.schema q in
   let* m = pipeline (Pipeline.measure ?jobs ?guard ~cache inst q tuple) in
   let* series =
     series_fields ~census:m.Pipeline.census inst
@@ -216,7 +202,7 @@ let run_conditional ~sessions ?jobs ?guard req =
   let* () = well_formed entry.Session.schema q in
   let* deps = get_deps entry.Session.schema req in
   let* tuple = get_tuple req q in
-  let* () = precheck ~deps ~tuple entry.Session.schema inst q in
+  let* () = precheck entry.Session.schema q in
   let sch = entry.Session.schema in
   let sigma = Constraints.Dependency.set_to_formula sch deps in
   let* report =
@@ -257,9 +243,7 @@ let run_conditional ~sessions ?jobs ?guard req =
     @ chase @ series)
 
 (* The approx op: a seeded Monte-Carlo (ε,δ)-estimate of µ^k — or of
-   µ^k(Q|Σ) when a "constraints" field rides along. Unlike "measure"
-   there is no space preflight: estimating the spaces the exact sweep
-   must refuse is the endpoint's reason to exist. The response is
+   µ^k(Q|Σ) when a "constraints" field rides along. The response is
    deterministic for a fixed seed, whatever the server's --jobs. *)
 
 let get_prob req name =
@@ -295,7 +279,7 @@ let run_approx ~sessions ?jobs ?guard req =
   match Wire.str_field req "constraints" with
   | Some _ ->
       let* deps = get_deps entry.Session.schema req in
-      let* () = precheck ~deps ~tuple entry.Session.schema inst q in
+      let* () = precheck entry.Session.schema q in
       let sigma =
         Constraints.Dependency.set_to_formula entry.Session.schema deps
       in
@@ -313,7 +297,7 @@ let run_approx ~sessions ?jobs ?guard req =
           ("hits_den", Wire.I r.AE.c_hits_den)
         ]
   | None ->
-      let* () = precheck ~tuple entry.Session.schema inst q in
+      let* () = precheck entry.Session.schema q in
       let r =
         AE.mu_k ?jobs ?guard ~cache ~stratify inst q tuple ~k ~eps ~delta
           ~seed

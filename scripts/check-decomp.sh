@@ -10,14 +10,10 @@
 #   - every decomp-engine row of that kernel reports
 #     speedup_vs_baseline ≥ 5 over the monolithic exact engine;
 #   - on the benched two-block workload the CLI reports the
-#     decomposition (ANL401), and its exact series lines are
-#     byte-identical to --no-decomp's, k = 0 (the empty valuation
-#     space) included. Both runs read the series off the same class
-#     census, so this clause checks that the route changes only the
-#     decomposition line and the preflight; that the census equals the
-#     monolithic and factorized sweeps is held by the census = sweep
-#     property in test/test_zeroone.ml and by the bench digest rows
-#     above;
+#     decomposition (ANL401). The series itself is read off the class
+#     census whatever the route; that the census equals the monolithic
+#     and factorized sweeps is held by the census = sweep property in
+#     test/test_zeroone.ml and by the bench digest rows above;
 #   - `certainty analyze --json` on the same workload emits the
 #     decomposition certificate (ANL401) and the weak-acyclicity
 #     verdict; the JSON is kept as a CI artifact
@@ -69,28 +65,18 @@ awk -v min="$MIN_SPEEDUP" '
     printf "  ok: %d decomp rows, all speedups >= %d\n", rows, min
   }' "$OUT"
 
-echo "== CLI series on the decomposition route byte-identical to --no-decomp =="
+echo "== CLI reports the decomposition (ANL401) =="
 TMP="${TMPDIR:-/tmp}/certainty-decomp-$$"
 mkdir -p "$TMP"
 trap 'rm -rf "$TMP"' EXIT
 "${CERTAINTY[@]}" measure -s "$SCHEMA" -d "$DB" -q "$QUERY" -t "()" \
   --ks 0,2,3,5 > "$TMP/decomp.out"
-"${CERTAINTY[@]}" measure -s "$SCHEMA" -d "$DB" -q "$QUERY" -t "()" \
-  --ks 0,2,3,5 --no-decomp > "$TMP/mono.out"
 grep -q "ANL401" "$TMP/decomp.out" || {
   echo "FATAL: factorized measure did not report ANL401" >&2
   cat "$TMP/decomp.out" >&2
   exit 1
 }
-# Identical modulo the decomposition banner and the series header.
-grep '^  k = ' "$TMP/decomp.out" > "$TMP/decomp.series"
-grep '^  k = ' "$TMP/mono.out" > "$TMP/mono.series"
-cmp "$TMP/decomp.series" "$TMP/mono.series" || {
-  echo "FATAL: factorized series differs from --no-decomp" >&2
-  diff "$TMP/decomp.series" "$TMP/mono.series" >&2 || true
-  exit 1
-}
-echo "  ok: series lines identical with and without --no-decomp"
+echo "  ok: decomposition line present"
 
 echo "== analyze --json emits the decomposition certificate =="
 "${CERTAINTY[@]}" analyze -s "$SCHEMA" -d "$DB" -q "$QUERY" -t "()" \

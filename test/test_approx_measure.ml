@@ -103,6 +103,38 @@ let test_srng () =
   done;
   check Alcotest.bool "adjacent streams diverge" true !different
 
+(* The draws themselves are part of the contract: every pinned
+   estimate depends on them, so the generator's outputs are pinned
+   here, as splitmix64 computed them with a boxed int64 state. *)
+let test_srng_pinned () =
+  List.iter
+    (fun (seed, index, raw, mod1000, full) ->
+      let name what = Printf.sprintf "(%d, %d) %s" seed index what in
+      let t = Srng.stream ~seed ~index in
+      check (Alcotest.list Alcotest.int) (name "next62") raw
+        (List.init 3 (fun _ -> Srng.next62 t));
+      let t = Srng.stream ~seed ~index in
+      check (Alcotest.list Alcotest.int) (name "uniform 1000") mod1000
+        (List.init 3 (fun _ -> Srng.uniform t 1000));
+      check Alcotest.int (name "uniform max_int") full
+        (Srng.uniform t max_int))
+    [ ( 0, 0,
+        [ 4073552104164651883; 1990071630548588925; 121904254867886419 ],
+        [ 883; 925; 419 ], 4477402844195135611 );
+      ( 7, 3,
+        [ 2607331705829540900; 473199049810058003; 2478627352405005348 ],
+        [ 900; 3; 348 ], 446678361881745289 );
+      ( 42, 41_499,
+        [ 3925563717193200075; 286206014489266048; 4010094353339526835 ],
+        [ 75; 48; 835 ], 2055796932670156585 );
+      ( -1, 1 lsl 40,
+        [ 4057517655224300172; 2182694744679035522; 1781150343957175594 ],
+        [ 172; 522; 594 ], 3266200671902231682 )
+    ];
+  let t = Srng.of_seed 42 in
+  check Alcotest.int "of_seed 42 next62" 2749113066540076570 (Srng.next62 t);
+  check Alcotest.int "of_seed 42 then uniform 13" 6 (Srng.uniform t 13)
+
 (* --- estimator vs exact ------------------------------------------- *)
 
 let eps10 = R.of_ints 1 10
@@ -646,7 +678,10 @@ let () =
         [ Alcotest.test_case "rat_of_string" `Quick test_rat_of_string;
           Alcotest.test_case "Hoeffding sample size" `Quick test_sample_size
         ] );
-      ("srng", [ Alcotest.test_case "splitmix64 streams" `Quick test_srng ]);
+      ( "srng",
+        [ Alcotest.test_case "splitmix64 streams" `Quick test_srng;
+          Alcotest.test_case "pinned draws" `Quick test_srng_pinned
+        ] );
       ( "estimator",
         [ Alcotest.test_case "accuracy vs exact µ^k" `Quick test_accuracy;
           Alcotest.test_case "stratified accuracy" `Quick

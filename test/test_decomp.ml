@@ -1,6 +1,6 @@
 (* Tests for the null-dependency decomposition pipeline: the
-   Depgraph/Decomp certificate, the factorized Support/Certain/
-   Conditional evaluators, the per-component estimator and the
+   Depgraph/Decomp certificate, the factorized Support/Conditional
+   evaluators, the per-component estimator and the
    weak-acyclicity chase-termination certificate.
 
    The load-bearing checks are randomized equivalences — the
@@ -10,7 +10,6 @@
 
      Support.supp_count_plan     ≡ Support.count_satisfying (monolithic)
      Support.mu_k_plan           ≡ µ^k from the monolithic count
-     Certain.*_sentence_plan     ≡ Certain.*_sentence
      Conditional.mu_cond_k_plans ≡ Conditional.mu_cond_k
      Wacyclic.Weakly_acyclic     ⇒ chase_tgds terminates within budget
 
@@ -29,7 +28,6 @@ module Wacyclic = Constraints.Wacyclic
 module Chase = Constraints.Chase
 module Factor = Incomplete.Factor
 module Support = Incomplete.Support
-module Certain = Incomplete.Certain
 module Enumerate = Incomplete.Enumerate
 module Decomp = Analysis.Decomp
 module AE = Approx_measure.Estimator
@@ -204,32 +202,6 @@ let test_randomized_count_identity () =
   (* the generator must actually exercise the factorized path *)
   check bool_t "decomposed often enough" true (!decomposed > 20)
 
-let test_randomized_certain_identity () =
-  List.iter
-    (fun seed ->
-      let st = state seed in
-      let inst = gen_instance st in
-      let sentence = gen_sentence st in
-      (* certain/possible run on the instance's own null space *)
-      if
-        List.for_all
-          (fun n -> List.mem n (Instance.nulls inst))
-          (F.nulls sentence)
-      then
-        let d = Decomp.analyze inst sentence in
-        match Decomp.plan d with
-        | None -> ()
-        | Some plan ->
-            check bool_t
-              (Printf.sprintf "seed %d certain" seed)
-              (Certain.is_certain_sentence inst sentence)
-              (Certain.is_certain_sentence_plan inst plan);
-            check bool_t
-              (Printf.sprintf "seed %d possible" seed)
-              (Certain.is_possible_sentence inst sentence)
-              (Certain.is_possible_sentence_plan inst plan))
-    seeds
-
 let test_randomized_conditional_identity () =
   List.iter
     (fun seed ->
@@ -382,10 +354,6 @@ let () =
       ( "factorized-support",
         [ Alcotest.test_case "≡ monolithic count (randomized)" `Quick
             test_randomized_count_identity
-        ] );
-      ( "factorized-certain",
-        [ Alcotest.test_case "≡ monolithic certainty (randomized)" `Quick
-            test_randomized_certain_identity
         ] );
       ( "factorized-conditional",
         [ Alcotest.test_case "≡ monolithic µ^k(Q|Σ) (randomized)" `Quick

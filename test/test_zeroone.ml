@@ -96,14 +96,21 @@ let prop_support_poly_matches_bruteforce =
 
 (* The census answers at every k ≥ 0 — below the anchor codes too,
    where the polynomial's value is no count — and the pipeline's µ^k
-   series read off it equal the sweeps. The tuple (~5) names a null
-   outside D that its query's body ignores: V^k grows by a factor k,
-   which only the k = 0 quotient sees. *)
+   series read off it equal the sweeps. Past every anchor code the
+   series is the polynomials' quotient, also at k where k^m is far
+   beyond a machine integer, which no sweep could check. The tuple (~5)
+   names a null outside D that its query's body ignores: V^k grows by a
+   factor k, which only the k = 0 quotient sees. *)
 let prop_census_matches_sweep_every_k =
   let same a b =
     List.length a = List.length b
     && List.for_all2 (fun (k, x) (k', y) -> k = k' && R.equal x y) a b
   in
+  let quotient num den k =
+    let den = P.eval_int den k in
+    if R.is_zero den then R.zero else R.div (P.eval_int num k) den
+  in
+  let big_ks = [ 1_000_000; 3_000_000_000 ] in
   let sigma = Parser.formula_exn "forall x. forall y. R(x, y) -> S(x, y)" in
   let boolean =
     Parser.query_exn "Q() := exists x. R(x, 'z1') | S(x, x)" :: fo_queries
@@ -135,19 +142,39 @@ let prop_census_matches_sweep_every_k =
                        (Support_poly.supp_count census ~sentence:0 ~k)
                        (Support.supp_count d q tuple ~k))
                    ks)
-              && Pipeline.series ~census d (Pipeline.Answer (q, tuple))
-                   Pipeline.Monolithic ~ks
+              && Pipeline.series ~census d (Pipeline.Answer (q, tuple)) ~ks
                  |> Result.get_ok
                  |> same (Support.mu_k_series d q tuple ~ks)
               && Pipeline.series ~census:report.Conditional.census d
                    (Pipeline.Given (sigma, q, tuple))
-                   Pipeline.Monolithic ~ks
+                   ~ks
                  |> Result.get_ok
                  |> same
                       (List.map
                          (fun k ->
                            (k, Conditional.mu_cond_k ~sigma d q tuple ~k))
                          ks)
+              && Pipeline.series ~census d (Pipeline.Answer (q, tuple))
+                   ~ks:big_ks
+                 |> Result.get_ok
+                 |> same
+                      (List.map
+                         (fun k ->
+                           ( k,
+                             quotient m.Pipeline.supp_poly
+                               census.Support_poly.total k ))
+                         big_ks)
+              && Pipeline.series ~census:report.Conditional.census d
+                   (Pipeline.Given (sigma, q, tuple))
+                   ~ks:big_ks
+                 |> Result.get_ok
+                 |> same
+                      (List.map
+                         (fun k ->
+                           ( k,
+                             quotient report.Conditional.numerator
+                               report.Conditional.denominator k ))
+                         big_ks)
           | _ -> false)
         cases)
 
