@@ -6,10 +6,8 @@
    byte-identical to the line Service.handle with jobs = 1 produces on
    a fresh sequential session store. The router proxies raw lines, so
    identity holds by construction; this bench is the gate that keeps
-   it that way. The only normalization: [update] responses carry an
-   [Instance] generation stamp drawn from a process-global counter,
-   which cannot agree across processes, so update responses are
-   compared with the generation field blanked.
+   it that way. [update] responses compare byte for byte too: their
+   generation counts the session's acknowledged updates.
 
    In-process mode (default) measures one shard vs a 4-shard ring
    behind a router, then runs the failover phase: apply updates
@@ -29,7 +27,7 @@ module W = Server.Wire
 module Daemon = Server.Daemon
 module Router = Shard.Router
 
-type item = { line : string; expected : string; is_update : bool }
+type item = { line : string; expected : string }
 
 type phase = {
   label : string;
@@ -91,33 +89,6 @@ let update_line i =
 let base_lines = List.concat (List.init nsessions query_lines)
 let update_lines = List.init nsessions update_line
 
-(* Blank the process-global generation stamp in update responses. *)
-let norm resp =
-  let pat = "\"generation\":" in
-  let np = String.length pat and nh = String.length resp in
-  let b = Buffer.create nh in
-  let i = ref 0 in
-  while !i < nh do
-    if !i + np <= nh && String.sub resp !i np = pat then begin
-      Buffer.add_string b pat;
-      Buffer.add_char b '_';
-      i := !i + np;
-      while !i < nh && (match resp.[!i] with '0' .. '9' -> true | _ -> false)
-      do
-        incr i
-      done
-    end
-    else begin
-      Buffer.add_char b resp.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
-let matches item got =
-  if item.is_update then String.equal (norm got) (norm item.expected)
-  else String.equal got item.expected
-
 (* The reference: one sequential pass through Service.handle in the
    exact phase order the bench drives — base queries on pristine
    sessions, then the updates, then the same queries post-update. *)
@@ -132,7 +103,7 @@ let build_reference () =
           | Ok payload -> W.ok_line ~id:r.W.id ~op:r.W.op payload
           | Error (err, msg) -> W.error_line ~id:r.W.id err msg
         in
-        { line; expected; is_update = r.W.op = "update" }
+        { line; expected }
   in
   let base = List.map eval base_lines in
   let updates = List.map eval update_lines in
@@ -173,7 +144,7 @@ let run_phase ~label ~addr ~clients ~iters items =
           match resp with
           | None -> Mutex.protect lock (fun () -> incr errors)
           | Some got ->
-              if not (matches item got) then
+              if not (String.equal got item.expected) then
                 Mutex.protect lock (fun () ->
                     if List.length !mismatches < 3 then
                       mismatches := (item.expected, got) :: !mismatches))
@@ -223,7 +194,7 @@ let identity_pass ~addr items =
   List.fold_left
     (fun (n, bad) item ->
       match Server.Client.request c item.line with
-      | Some got when matches item got -> (n + 1, bad)
+      | Some got when String.equal got item.expected -> (n + 1, bad)
       | _ -> (n + 1, bad + 1))
     (0, 0) items
 
@@ -260,8 +231,8 @@ let wait_member ~addr ~name ~state ~timeout_s =
   go ()
 
 let run_failover ~router_addr ~router ~daemons ~updates ~updated =
-  (* 1. Updates through the router: accepted, and (modulo the
-     generation stamp) the same response the reference produced. *)
+  (* 1. Updates through the router: accepted, and the same response
+     the reference produced. *)
   let _, update_bad = identity_pass ~addr:router_addr updates in
   (* 2. Reads after updates round-robin over both replicas: one full
      identity pass proves the forwarded state is verdict-identical on
@@ -295,7 +266,7 @@ let run_failover ~router_addr ~router ~daemons ~updates ~updated =
         (fun item ->
           if not (Atomic.get stop) then
             match Server.Client.request c item.line with
-            | Some got when matches item got ->
+            | Some got when String.equal got item.expected ->
                 Mutex.protect lock (fun () -> incr identical)
             | Some got when contains got "\"error\":\"shard_unavailable\"" ->
                 Mutex.protect lock (fun () -> incr unavailable)

@@ -211,10 +211,17 @@ let parse_ks inst = function
       let base = Instance.max_constant inst in
       List.map (fun i -> base + i) [ 1; 2; 4; 8; 16 ]
   | Some s ->
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-      |> List.map int_of_string
+      let ks =
+        String.split_on_char ',' s
+        |> List.map String.trim
+        |> List.filter (fun x -> x <> "")
+      in
+      (match List.map int_of_string ks with
+      | ks -> ks
+      | exception Failure _ ->
+          Printf.eprintf "error: --ks expects comma-separated integers, got %S\n"
+            s;
+          exit 2)
 
 (* The candidate tuple of measure/conditional: required exactly when
    the query is non-Boolean. *)
@@ -357,6 +364,7 @@ let measure_cmd =
         let jobs = jobs_opt jobs
         and cache = Incomplete.Support.create_cache () in
         let approx = parse_approx approx in
+        let ks = parse_ks inst ks in
         let tuple = answer_tuple q tuple in
         precheck ~tuple ~strict sch inst q;
         Printf.printf "query:  %s\n" (Query.to_string q);
@@ -370,13 +378,12 @@ let measure_cmd =
         Printf.printf "µ(Q,D,t) = %s   [0-1 law: %s]\n"
           (R.to_string m.Pipeline.mu)
           (Format.asprintf "%a" Zeroone.Measure.pp_verdict m.Pipeline.verdict);
-        let ks = parse_ks inst ks in
         let target = Pipeline.Answer (q, tuple) in
         match approx with
         | None ->
             print_exact_series ~census:m.Pipeline.census ~label:"µ^k"
               ~cell:"µ^k = " inst target ks
-        | Some (eps, delta) -> (
+        | Some (eps, delta) ->
             (* The sampler needs a nonempty space. *)
             (match List.find_opt (fun k -> k < 1) ks with
             | Some k ->
@@ -384,57 +391,34 @@ let measure_cmd =
                   "error: --approx needs --ks entries >= 1, got %d\n" k;
                 exit 2
             | None -> ());
-            let route = Pipeline.route inst target ~ks in
-            print_route route;
-            match route with
-            | Pipeline.Factorized [ d ] when not stratify ->
-                let plan = Option.get (Analysis.Decomp.plan d) in
-                Printf.printf
-                  "µ^k estimates (Monte-Carlo, factorized, ε = %s, δ = %s, \
-                   seed %d):\n"
-                  (R.to_string eps) (R.to_string delta) seed;
-                List.iter
-                  (fun k ->
-                    let r =
-                      AE.mu_k_plan ?jobs inst plan ~k ~eps ~delta ~seed
-                    in
+            print_route (Pipeline.route inst target ~ks);
+            let n = AE.sample_size ~eps ~delta in
+            Printf.printf
+              "µ^k estimates (Monte-Carlo, ε = %s, δ = %s, %d samples/k, \
+               seed %d):\n"
+              (R.to_string eps) (R.to_string delta) n seed;
+            List.iter
+              (fun k ->
+                let r =
+                  AE.mu_k ?jobs ~cache ~stratify inst q tuple ~k ~eps ~delta
+                    ~seed
+                in
+                Printf.printf "  k = %3d   µ^k ≈ %-12s (%.6f)   CI [%s, %s]\n"
+                  k
+                  (R.to_string r.AE.estimate)
+                  (R.to_float r.AE.estimate)
+                  (R.to_string r.AE.ci_lo) (R.to_string r.AE.ci_hi);
+                match r.AE.stratified with
+                | None -> ()
+                | Some s ->
                     Printf.printf
-                      "  k = %3d   µ^k ≈ %-12s (%.6f)   CI [%s, %s]   (%d \
-                       exact / %d sampled parts, %d samples)\n"
-                      k
-                      (R.to_string r.AE.f_estimate)
-                      (R.to_float r.AE.f_estimate)
-                      (R.to_string r.AE.f_ci_lo) (R.to_string r.AE.f_ci_hi)
-                      r.AE.f_exact_parts r.AE.f_sampled_parts r.AE.f_samples)
-                  ks
-            | _ ->
-                let n = AE.sample_size ~eps ~delta in
-                Printf.printf
-                  "µ^k estimates (Monte-Carlo, ε = %s, δ = %s, %d samples/k, \
-                   seed %d):\n"
-                  (R.to_string eps) (R.to_string delta) n seed;
-                List.iter
-                  (fun k ->
-                    let r =
-                      AE.mu_k ?jobs ~cache ~stratify inst q tuple ~k ~eps
-                        ~delta ~seed
-                    in
-                    Printf.printf
-                      "  k = %3d   µ^k ≈ %-12s (%.6f)   CI [%s, %s]\n" k
-                      (R.to_string r.AE.estimate)
-                      (R.to_float r.AE.estimate)
-                      (R.to_string r.AE.ci_lo) (R.to_string r.AE.ci_hi);
-                    match r.AE.stratified with
-                    | None -> ()
-                    | Some s ->
-                        Printf.printf
-                          "            stratified (%d null-support strata, %d \
-                           samples) ≈ %-12s (%.6f)   CI [%s, %s]\n"
-                          s.AE.s_strata s.AE.s_samples
-                          (R.to_string s.AE.s_estimate)
-                          (R.to_float s.AE.s_estimate)
-                          (R.to_string s.AE.s_ci_lo) (R.to_string s.AE.s_ci_hi))
-                  ks))
+                      "            stratified (%d null-support strata, %d \
+                       samples) ≈ %-12s (%.6f)   CI [%s, %s]\n"
+                      s.AE.s_strata s.AE.s_samples
+                      (R.to_string s.AE.s_estimate)
+                      (R.to_float s.AE.s_estimate)
+                      (R.to_string s.AE.s_ci_lo) (R.to_string s.AE.s_ci_hi))
+              ks)
   in
   let doc =
     "Measure how close an answer is to certainty: the support polynomial, the \
@@ -456,6 +440,7 @@ let conditional_cmd =
         and cache = Incomplete.Support.create_cache () in
         let deps = load_constraints sch cstr in
         let sigma = Constraints.Dependency.set_to_formula sch deps in
+        let ks = Option.map (fun s -> parse_ks inst (Some s)) ks in
         let tuple = answer_tuple q tuple in
         precheck ~deps ~tuple ~strict sch inst q;
         Printf.printf "query:       %s\n" (Query.to_string q);
@@ -486,8 +471,7 @@ let conditional_cmd =
         | Zeroone.Conditional.Symbolic -> ());
         match ks with
         | None -> ()
-        | Some _ ->
-            let ks = parse_ks inst ks in
+        | Some ks ->
             let target = Pipeline.Given (sigma, q, tuple) in
             print_exact_series ~census:report.Zeroone.Conditional.census
               ~label:"µ^k(Q|Σ)" ~cell:"" inst target ks)

@@ -178,8 +178,8 @@ let diagnostics cert =
                   [ Diag.warning ~code:"ANL403" ~loc:"decomp"
                       ~hint:
                         "the exact µ^k series is read off the class census \
-                         at any k; --approx samples such a component per \
-                         null and keeps the rest exact"
+                         at any k; --approx samples the whole valuation \
+                         space, one null at a time past the frontier"
                       (Printf.sprintf
                          "component %d (%d nulls over %s) still exceeds the \
                           machine-integer frontier at k = %d: no sweep \

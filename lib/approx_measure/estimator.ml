@@ -7,7 +7,6 @@ module R = Arith.Rat
 module Support = Incomplete.Support
 module Enumerate = Incomplete.Enumerate
 module Valuation = Incomplete.Valuation
-module Factor = Incomplete.Factor
 module Kernel = Incomplete.Kernel
 
 (* ------------------------------------------------------------------ *)
@@ -440,130 +439,6 @@ let mu_k ?jobs ?guard ?cache ?(stratify = false) inst q tuple ~k ~eps ~delta
     delta;
     stratified
   }
-
-(* ------------------------------------------------------------------ *)
-(* Factorized estimation over a decomposition plan                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Components at most this large are swept exactly instead of sampled:
-   2^16 support checks cost less than a Hoeffding-sized sample and
-   contribute a zero-width factor to the interval. *)
-let exact_component_cutoff = 65536
-
-type part = {
-  p_nulls : int;
-  p_exact : bool;
-  p_estimate : R.t;
-  p_samples : int;
-}
-
-type factored = {
-  f_estimate : R.t;
-  f_ci_lo : R.t;
-  f_ci_hi : R.t;
-  f_samples : int;
-  f_exact_parts : int;
-  f_sampled_parts : int;
-  f_parts : part list;
-  f_seed : int;
-  f_eps : R.t;
-  f_delta : R.t;
-}
-
-let mu_k_plan ?jobs ?guard inst plan ~k ~eps ~delta ~seed =
-  if k < 1 then invalid_arg "Estimator.mu_k_plan: k must be >= 1";
-  check_prob "eps" eps;
-  check_prob "delta" delta;
-  let comps =
-    List.map
-      (fun c ->
-        let space = Enumerate.space_size ~nulls:c.Factor.c_nulls ~k in
-        let exact =
-          match space with
-          | Some s -> s <= exact_component_cutoff
-          | None -> false
-        in
-        (c, space, exact))
-      plan.Factor.components
-  in
-  let b = List.length (List.filter (fun (_, _, e) -> not e) comps) in
-  (* Each sampled component gets (ε/b, δ/b): the factors live in [0,1],
-     so |∏p̂ − ∏p| ≤ Σᵢ|p̂ᵢ − pᵢ| ≤ ε whenever every per-component bound
-     holds — which fails with probability < Σᵢ δ/b = δ (union bound).
-     Exact components contribute a zero-width factor. Free nulls
-     contribute factor 1 and never appear. *)
-  let eps_i = if b = 0 then eps else R.div_int eps b in
-  let n_i =
-    if b = 0 then 0 else sample_size ~eps:eps_i ~delta:(R.div_int delta b)
-  in
-  Obs.Trace.span "approx.run"
-    ~attrs:
-      [ ("k", string_of_int k); ("mode", "factored");
-        ("components", string_of_int (List.length comps));
-        ("sampled", string_of_int b);
-        ("samples", string_of_int (n_i * b)); ("seed", string_of_int seed)
-      ]
-  @@ fun () ->
-  let estimate, lo, hi, samples, parts_rev, _ =
-    List.fold_left
-      (fun (est, lo, hi, samples, parts, base) (c, space, exact) ->
-        let nulls = c.Factor.c_nulls in
-        (* One kernel db per component restriction: a {!Support.cache}
-           is tied to the monolithic instance. *)
-        let db =
-          Kernel.db_of_instance
-            (Factor.restricted_instance inst c.Factor.c_relations)
-        in
-        let sentence = c.Factor.c_sentence in
-        if exact then
-          let count =
-            Support.count_satisfying ?jobs ?guard ~db ~sentence ~nulls ~k ()
-          in
-          let p = R.make count (Enumerate.count ~nulls ~k) in
-          ( R.mul est p, R.mul lo p, R.mul hi p, samples,
-            { p_nulls = List.length nulls; p_exact = true; p_estimate = p;
-              p_samples = 0
-            }
-            :: parts,
-            base )
-        else
-          (* Sample index [base + i] keys its own (seed, index) stream:
-             the per-component bases are cumulative, so no two
-             components ever share a stream and the whole figure is
-             reproducible for any ?jobs. *)
-          let hits =
-            (count_hits ?jobs ?guard ~db ~sentences:[ sentence ] ~nulls
-               ~k ~space ~seed ~base n_i).(0)
-          in
-          let p = R.of_ints hits n_i in
-          ( R.mul est p,
-            R.mul lo (R.max R.zero (R.sub p eps_i)),
-            R.mul hi (R.min R.one (R.add p eps_i)),
-            samples + n_i,
-            { p_nulls = List.length nulls; p_exact = false; p_estimate = p;
-              p_samples = n_i
-            }
-            :: parts,
-            base + n_i ))
-      (R.one, R.one, R.one, 0, [], 0)
-      comps
-  in
-  { f_estimate = estimate;
-    f_ci_lo = R.max R.zero lo;
-    f_ci_hi = R.min R.one hi;
-    f_samples = samples;
-    f_exact_parts = List.length comps - b;
-    f_sampled_parts = b;
-    f_parts = List.rev parts_rev;
-    f_seed = seed;
-    f_eps = eps;
-    f_delta = delta
-  }
-
-let mu_k_boolean ?jobs ?guard ?cache ?stratify inst q ~k ~eps ~delta ~seed =
-  if Query.arity q <> 0 then
-    invalid_arg "Estimator.mu_k_boolean: query is not Boolean";
-  mu_k ?jobs ?guard ?cache ?stratify inst q Tuple.empty ~k ~eps ~delta ~seed
 
 let mu_cond_k ?jobs ?guard ?cache ~sigma inst q tuple ~k ~eps ~delta ~seed =
   if k < 1 then invalid_arg "Estimator.mu_cond_k: k must be >= 1";

@@ -1,13 +1,17 @@
 (** Seeded Monte-Carlo (ε,δ)-estimation of the finite measures [µ^k].
 
-    The exact engine ({!Incomplete.Support}) enumerates all [k^m]
-    valuations; beyond the [Arith.Bigint.Overflow] frontier it can
-    only refuse. Following the randomized-approximation line of Arenas,
-    Barceló & Monet (arXiv 1912.11064, 2011.06330), this module instead
-    draws [n] valuations uniformly from [V^k(D)] and reports the hit
-    frequency, with [n] sized by Hoeffding's inequality so that
+    The exact [µ^k] is read off the class census ([Zeroone.Pipeline])
+    at every [k], at a cost set by the number of valuation classes.
+    Following the randomized-approximation line of Arenas, Barceló &
+    Monet (arXiv 1912.11064, 2011.06330), this module instead draws [n]
+    valuations uniformly from [V^k(D)] and reports the hit frequency,
+    with [n] sized by Hoeffding's inequality so that
 
       [P(|estimate − µ^k| > ε) < δ].
+
+    {!mu_k} is the one estimator of [µ^k]: [certainty measure --approx]
+    and the served [approx] op both call it, so a request answers the
+    same figures through either front end.
 
     {b Sampling.} A sample is a digit array: position [i] holds the
     code of the [i]-th null, with no list, map or {!Incomplete.Valuation.t}
@@ -117,68 +121,6 @@ val mu_k :
     mean on {!Incomplete.Support.mu_k}; [?stratify] (default false)
     adds the null-support second pass.
     @raise Invalid_argument if [k < 1] or ε/δ are out of range. *)
-
-(** {1 Factorized estimation} *)
-
-type part = {
-  p_nulls : int;  (** nulls of the component *)
-  p_exact : bool;  (** swept exactly rather than sampled *)
-  p_estimate : Arith.Rat.t;  (** the component factor [p̂ᵢ] *)
-  p_samples : int;  (** 0 when exact *)
-}
-
-type factored = {
-  f_estimate : Arith.Rat.t;  (** [∏ᵢ p̂ᵢ], exact rational. *)
-  f_ci_lo : Arith.Rat.t;
-  f_ci_hi : Arith.Rat.t;
-  f_samples : int;  (** total drawn across sampled components. *)
-  f_exact_parts : int;
-  f_sampled_parts : int;
-  f_parts : part list;  (** in component order. *)
-  f_seed : int;
-  f_eps : Arith.Rat.t;
-  f_delta : Arith.Rat.t;
-}
-
-val mu_k_plan :
-  ?jobs:int ->
-  ?guard:(unit -> unit) ->
-  Relational.Instance.t ->
-  Incomplete.Factor.plan ->
-  k:int ->
-  eps:Arith.Rat.t ->
-  delta:Arith.Rat.t ->
-  seed:int ->
-  factored
-(** Estimate [µ^k] component-by-component on a sound decomposition
-    plan ({!Analysis.Decomp.plan} via {!Incomplete.Factor}): since
-    [µ^k = ∏ᵢ µ^k_i] over the components, each factor is measured on
-    its own restricted kernel. Components whose space [k^{mᵢ}] fits
-    under a small cutoff are counted exactly (zero-width factor); the
-    [b] oversized ones are sampled with [(ε/b, δ/b)] Hoeffding
-    parameters, so the product carries
-    [P(|f_estimate − µ^k| > ε) < δ] by the union bound — usually with
-    far fewer samples than {!mu_k} needs for the same width, because
-    each sample only evaluates one component's sentence. With [b = 0]
-    the result is the exact measure and the interval collapses to a
-    point. Deterministic for a fixed seed and any [?jobs]: sample
-    index [i] of component [c] draws from the [(seed, baseᶜ + i)]
-    stream with cumulative per-component bases.
-    @raise Invalid_argument if [k < 1] or ε/δ are out of range. *)
-
-val mu_k_boolean :
-  ?jobs:int ->
-  ?guard:(unit -> unit) ->
-  ?cache:Incomplete.Support.cache ->
-  ?stratify:bool ->
-  Relational.Instance.t ->
-  Logic.Query.t ->
-  k:int ->
-  eps:Arith.Rat.t ->
-  delta:Arith.Rat.t ->
-  seed:int ->
-  t
-(** [µ^k(Q,D)] for Boolean [Q]. *)
 
 type cond = {
   c_estimate : Arith.Rat.t;

@@ -129,24 +129,13 @@ let cond_decomp ?k ~sigma inst q tuple =
       (Formula.And (sigma, answer)),
     Analysis.Decomp.analyze ?k ~extra_nulls:extra inst sigma )
 
-let mu_cond_k_series_plans ?jobs ?guard ?cache ~num_plan ~den_plan inst ~ks =
-  Obs.Trace.span "conditional.mu_k"
-    ~attrs:
-      [ ("ks", String.concat "," (List.map string_of_int ks)); ("decomp", "1") ]
-  @@ fun () ->
-  let counts plan =
-    Support.supp_count_series_plan ?jobs ?guard ?cache inst plan ~ks
-  in
-  List.map2
-    (fun (k, num) (_, den) ->
-      (k, if B.is_zero den then Rat.zero else Rat.make num den))
-    (counts num_plan) (counts den_plan)
-
 let mu_cond_k_plans ?jobs ?guard ?cache ~num_plan ~den_plan inst ~k =
-  snd
-    (List.hd
-       (mu_cond_k_series_plans ?jobs ?guard ?cache ~num_plan ~den_plan inst
-          ~ks:[ k ]))
+  Obs.Trace.span "conditional.mu_k"
+    ~attrs:[ ("k", string_of_int k); ("decomp", "1") ]
+  @@ fun () ->
+  let count plan = Support.supp_count_plan ?jobs ?guard ?cache inst plan ~k in
+  let den = count den_plan in
+  if B.is_zero den then Rat.zero else Rat.make (count num_plan) den
 
 let mu_implication ?jobs ?cache ~sigma inst q tuple =
   let answer = Query.instantiate q tuple in

@@ -128,18 +128,6 @@ val mu_cond_k_plans :
     {!mu_cond_k} on sound plans sharing its sweep set (which
     {!cond_decomp} guarantees). *)
 
-val mu_cond_k_series_plans :
-  ?jobs:int ->
-  ?guard:(unit -> unit) ->
-  ?cache:Incomplete.Support.cache ->
-  num_plan:Incomplete.Factor.plan ->
-  den_plan:Incomplete.Factor.plan ->
-  Relational.Instance.t ->
-  ks:int list ->
-  (int * Arith.Rat.t) list
-(** {!mu_cond_k_plans} for each [k], each plan's component kernels
-    compiled once for the whole series. *)
-
 val mu_implication :
   ?jobs:int ->
   ?cache:Incomplete.Support.cache ->

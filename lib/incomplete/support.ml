@@ -192,10 +192,6 @@ let mu_k_series_plan ?jobs ?guard ?cache inst plan ~ks =
   let cp = compile_plan ?cache inst plan in
   List.map (fun k -> (k, mu_k_compiled ?jobs ?guard cp ~k)) ks
 
-let supp_count_series_plan ?jobs ?guard ?cache inst plan ~ks =
-  let cp = compile_plan ?cache inst plan in
-  List.map (fun k -> (k, supp_count_compiled ?jobs ?guard cp ~k)) ks
-
 (* The monolithic sweep over V^k(D) of Q(ā). *)
 let whole_plan inst q tuple =
   if Tuple.arity tuple <> Query.arity q then

@@ -136,8 +136,8 @@ val count_satisfying :
   Arith.Bigint.t
 (** The raw sweep: how many of the [k^|nulls|] valuations of [nulls]
     satisfy [sentence] on [db]. The building block of {!supp_count}
-    and of the per-component counts of {!supp_count_plan}; exposed so
-    the approximate engine can count small components exactly.
+    and of the per-component counts of {!supp_count_plan}; exposed as
+    the raw count those are tested against.
 
     This is the odometer hot path: each pool chunk compiles its own
     kernel, steps an in-place digit array through its rank range and
@@ -231,12 +231,3 @@ val mu_k_series_plan :
 (** Like {!mu_k_series} but sweeping [Σᵢ k^{mᵢ}] valuations per [k]
     instead of [k^m]; component kernels are compiled once. *)
 
-val supp_count_series_plan :
-  ?jobs:int ->
-  ?guard:(unit -> unit) ->
-  ?cache:cache ->
-  Relational.Instance.t ->
-  Factor.plan ->
-  ks:int list ->
-  (int * Arith.Bigint.t) list
-(** [(k, |Supp^k|)] for each [k], component kernels compiled once. *)

@@ -18,6 +18,7 @@ type entry = {
   mutable inst : Relational.Instance.t;
   mutable chase_gen : int;
   mutable chase_memos : chase_memo list;
+  mutable updates : int;
   mutable last_used : int;
 }
 
@@ -73,6 +74,7 @@ let load ~schema ~db =
               inst;
               chase_gen = Instance.generation inst;
               chase_memos = [];
+              updates = 0;
               last_used = 0
             })
 
@@ -167,8 +169,9 @@ let apply entry ~action ~relation ~tuple =
                 entry.chase_memos <- [];
                 entry.chase_gen <- Instance.generation inst');
             entry.inst <- inst';
+            entry.updates <- entry.updates + 1;
             Obs.Metrics.incr Obs.Metrics.serve_updates;
-            Ok (Instance.generation inst')
+            Ok entry.updates
       end
 
 let update t ~schema ~db ~action ~relation ~tuple =

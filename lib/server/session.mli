@@ -46,6 +46,8 @@ type entry = private {
          list
       * Constraints.Chase.outcome))
     list;
+  mutable updates : int;
+      (** updates acknowledged on this session since it was loaded *)
   mutable last_used : int;
 }
 
@@ -75,7 +77,10 @@ val update :
   tuple:Relational.Tuple.t ->
   (entry * int, string) result
 (** Apply a single-tuple update to the (possibly just-loaded) session,
-    returning the entry and the new instance generation. [Error]s:
+    returning the entry and its generation: the number of updates
+    acknowledged on the session, this one included (1 for the first).
+    It counts this session's updates only, so the same update history
+    answers the same generation in any process. [Error]s:
     unknown relation, arity mismatch, inserting a tuple already
     present, deleting a tuple that is absent — all leave the session
     untouched. *)

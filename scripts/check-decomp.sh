@@ -47,7 +47,7 @@ awk -v min="$MIN_SPEEDUP" '
     print "FATAL: mu_k_decomposed digests differ" > "/dev/stderr"; exit 1 }
   in_row && /"engine": "decomp"/ {
     if (match($0, /"speedup_vs_baseline": [0-9.]+/)) {
-      s = substr($0, RSTART + 24, RLENGTH - 24) + 0
+      s = substr($0, RSTART + 23, RLENGTH - 23) + 0
       rows++
       if (s < min) {
         printf "FATAL: decomp row speedup %.3f < %d\n%s\n", s, min, $0 \

@@ -210,7 +210,7 @@ let test_overflow_frontier () =
     (Incomplete.Enumerate.space_size ~nulls:[ 1; 2; 3 ] ~k);
   let eps = R.of_ints 1 4 and delta = R.of_ints 1 4 in
   let run jobs =
-    AE.mu_k_boolean ~jobs ~stratify:true db3 q3 ~k ~eps ~delta ~seed:42
+    AE.mu_k ~jobs ~stratify:true db3 q3 Tuple.empty ~k ~eps ~delta ~seed:42
   in
   let e = run 1 in
   check Alcotest.int "17 samples suffice at (1/4, 1/4)" 17 e.AE.samples;

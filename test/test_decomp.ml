@@ -1,7 +1,6 @@
 (* Tests for the null-dependency decomposition pipeline: the
    Depgraph/Decomp certificate, the factorized Support/Conditional
-   evaluators, the per-component estimator and the
-   weak-acyclicity chase-termination certificate.
+   evaluators and the weak-acyclicity chase-termination certificate.
 
    The load-bearing checks are randomized equivalences — the
    factorized engines must agree with the monolithic ones on every
@@ -30,7 +29,6 @@ module Factor = Incomplete.Factor
 module Support = Incomplete.Support
 module Enumerate = Incomplete.Enumerate
 module Decomp = Analysis.Decomp
-module AE = Approx_measure.Estimator
 module B = Arith.Bigint
 module R = Arith.Rat
 
@@ -227,62 +225,6 @@ let test_randomized_conditional_identity () =
     (List.filteri (fun i _ -> i < 150) seeds)
 
 (* ------------------------------------------------------------------ *)
-(* Per-component estimator                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_estimator_all_exact () =
-  (* Every component fits under the exact cutoff: the "estimate" is the
-     exact measure and the interval collapses to a point. *)
-  let _, plan = two_block_plan () in
-  let eps = R.of_ints 1 10 and delta = R.of_ints 1 10 in
-  let r = AE.mu_k_plan two_block_db plan ~k:5 ~eps ~delta ~seed:7 in
-  let exact = Support.mu_k_plan two_block_db plan ~k:5 in
-  check string_t "estimate = exact" (R.to_string exact)
-    (R.to_string r.AE.f_estimate);
-  check string_t "ci lo collapses" (R.to_string exact)
-    (R.to_string r.AE.f_ci_lo);
-  check string_t "ci hi collapses" (R.to_string exact)
-    (R.to_string r.AE.f_ci_hi);
-  check int_t "no samples" 0 r.AE.f_samples;
-  check int_t "sampled parts" 0 r.AE.f_sampled_parts;
-  check int_t "exact parts" 2 r.AE.f_exact_parts
-
-let big_schema = Parser.schema_exn "T(a, b); U(a, b)"
-
-let big_db =
-  Parser.instance_exn big_schema
-    "T = { (~1, ~2), (~3, ~4), (~5, ~6) }; U = { ('c1', ~7) }"
-
-let big_sentence =
-  Query.instantiate
-    (Parser.query_exn "Q() := !T('c1', 'c1') & U('c1', 'c1')")
-    Tuple.empty
-
-let test_estimator_sampled_component () =
-  (* At k = 8 the T-component spans 8^6 = 262144 > 65536 valuations and
-     is sampled with the full (ε/1, δ/1) budget; the U-component stays
-     exact. The CI must cover the exact measure for this fixed seed,
-     and the figure must not depend on ?jobs. *)
-  let d = Decomp.analyze big_db big_sentence in
-  let plan =
-    match Decomp.plan d with
-    | Some p -> p
-    | None -> Alcotest.fail "big sentence did not plan"
-  in
-  check int_t "parts" 2 (Decomp.parts d);
-  let eps = R.of_ints 1 5 and delta = R.of_ints 1 5 in
-  let r = AE.mu_k_plan big_db plan ~k:8 ~eps ~delta ~seed:11 in
-  check int_t "sampled parts" 1 r.AE.f_sampled_parts;
-  check int_t "exact parts" 1 r.AE.f_exact_parts;
-  check bool_t "samples drawn" true (r.AE.f_samples > 0);
-  let exact = Support.mu_k_plan big_db plan ~k:8 in
-  check bool_t "ci covers exact" true
-    (R.compare r.AE.f_ci_lo exact <= 0 && R.compare exact r.AE.f_ci_hi <= 0);
-  let r4 = AE.mu_k_plan ~jobs:4 big_db plan ~k:8 ~eps ~delta ~seed:11 in
-  check string_t "jobs-independent" (R.to_string r.AE.f_estimate)
-    (R.to_string r4.AE.f_estimate)
-
-(* ------------------------------------------------------------------ *)
 (* Weak acyclicity and the TGD chase                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -358,12 +300,6 @@ let () =
       ( "factorized-conditional",
         [ Alcotest.test_case "≡ monolithic µ^k(Q|Σ) (randomized)" `Quick
             test_randomized_conditional_identity
-        ] );
-      ( "estimator",
-        [ Alcotest.test_case "all-exact plan collapses the CI" `Quick
-            test_estimator_all_exact;
-          Alcotest.test_case "oversized component is sampled" `Quick
-            test_estimator_sampled_component
         ] );
       ( "wacyclic",
         [ Alcotest.test_case "fixtures" `Quick test_wacyclic_fixtures;

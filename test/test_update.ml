@@ -305,14 +305,15 @@ let oracle_one_seed ~jobs seed =
   | Error msg -> Alcotest.failf "seed %d: load: %s" seed msg
   | Ok _ -> ());
   let folded = ref (Result.get_ok (Session.get store ~schema:schema_text ~db:db0)).Session.inst in
-  for _step = 1 to 4 do
+  for step = 1 to 4 do
     let action, name, tuple = gen_update st !model in
     (match
        Session.update store ~schema:schema_text ~db:db0 ~action
          ~relation:name ~tuple
      with
     | Error msg -> Alcotest.failf "seed %d: update: %s" seed msg
-    | Ok _ -> ());
+    | Ok (_, generation) ->
+        check int_t "generation counts acknowledged updates" step generation);
     model := apply_model !model action name tuple;
     folded :=
       (match action with
@@ -404,7 +405,14 @@ let test_session_update_errors () =
   (* and none of those left the session corrupted *)
   let entry = Result.get_ok (Session.get store ~schema:schema_text ~db) in
   check int_t "R untouched" 1
-    (Relation.cardinal (Instance.relation entry.Session.inst "R"))
+    (Relation.cardinal (Instance.relation entry.Session.inst "R"));
+  (* a refused update is not counted: the first accepted one is 1 *)
+  match
+    Session.update store ~schema:schema_text ~db ~action:Session.Delete
+      ~relation:"R" ~tuple:t01
+  with
+  | Ok (_, generation) -> check int_t "first accepted generation" 1 generation
+  | Error msg -> Alcotest.failf "valid delete refused: %s" msg
 
 (* --- store behaviour: LRU + load counting -------------------------- *)
 
