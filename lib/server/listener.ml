@@ -39,8 +39,10 @@ let sockaddr = function
    reorder buffer: past it the reader stops reading — backpressure
    through the socket — instead of buffering without limit.
    [send_timeout_s] caps how long a single write to a peer that
-   stopped reading can block a writer. *)
+   stopped reading can block a writer. [read_block] is the size of a
+   connection's read buffer, and the most one [Unix.read] returns. *)
 let max_line_bytes = 1 lsl 20
+let read_block = 65536
 let max_pipeline = 128
 let send_timeout_s = 30.0
 
@@ -60,7 +62,9 @@ let send_timeout_s = 30.0
    a send can never write to a recycled descriptor number. *)
 type conn = {
   fd : Unix.file_descr;
-  ic : in_channel;
+  rbuf : Bytes.t;  (* read block; [rlo, rhi) not yet consumed *)
+  mutable rlo : int;  (* reader thread only, as is [rhi] *)
+  mutable rhi : int;
   oc : out_channel;
   wlock : Mutex.t;
   flock : Mutex.t;
@@ -148,24 +152,65 @@ let close_conn conn =
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [input_line] is unbounded; a hostile client could stream one
-   endless line into our heap. Read by hand with a cap instead. *)
-let read_request_line conn =
-  let buf = Buffer.create 256 in
+(* Request lines are read in blocks of up to [read_block] bytes into
+   the connection's [rbuf]; bytes past a newline stay there for the
+   next line. [input_line] is unbounded — a hostile client could stream
+   one endless line into our heap — so a line longer than
+   [max_line_bytes] (its newline not counted) is refused as soon as it
+   is known to be, holding at most the cap plus one block. A line that
+   spans blocks is gathered in a [Buffer]. A final line without its
+   newline is still a line; EOF or a read error (reset, or a read after
+   {!shutdown_fd}) ends the connection. *)
+let refill conn =
   let rec go () =
-    match input_char conn.ic with
-    | '\n' -> `Line (Buffer.contents buf)
-    | c ->
-        if Buffer.length buf >= max_line_bytes then `Too_long
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-    | exception End_of_file ->
-        if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
-    | exception Sys_error _ -> `Eof
+    match Unix.read conn.fd conn.rbuf 0 (Bytes.length conn.rbuf) with
+    | n ->
+        conn.rlo <- 0;
+        conn.rhi <- n;
+        if n = 0 then `Eof else `Data
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()  (* a signal *)
+    | exception Unix.Unix_error _ -> `Failed
   in
   go ()
+
+(* [Bytes.index_from] would run on into the stale bytes past [rhi]. *)
+let newline_in buf lo hi =
+  let rec go i =
+    if i >= hi then -1 else if Bytes.get buf i = '\n' then i else go (i + 1)
+  in
+  go lo
+
+let read_request_line conn =
+  let rec go acc =
+    if conn.rlo = conn.rhi then
+      match (refill conn, acc) with
+      | `Data, _ -> go acc
+      | `Eof, Some b -> `Line (Buffer.contents b)
+      | `Eof, None | `Failed, _ -> `Eof
+    else
+      let lo = conn.rlo in
+      let had = match acc with None -> 0 | Some b -> Buffer.length b in
+      let nl = newline_in conn.rbuf lo conn.rhi in
+      let stop = if nl < 0 then conn.rhi else nl in
+      if had + stop - lo > max_line_bytes then `Too_long
+      else if nl >= 0 then begin
+        conn.rlo <- nl + 1;
+        match acc with
+        | None -> `Line (Bytes.sub_string conn.rbuf lo (nl - lo))
+        | Some b ->
+            Buffer.add_subbytes b conn.rbuf lo (nl - lo);
+            `Line (Buffer.contents b)
+      end
+      else begin
+        let b =
+          match acc with Some b -> b | None -> Buffer.create read_block
+        in
+        Buffer.add_subbytes b conn.rbuf lo (stop - lo);
+        conn.rlo <- stop;
+        go (Some b)
+      end
+  in
+  go None
 
 (* Backpressure: once [max_pipeline] responses are buffered behind a
    slow head-of-line request, stop reading until the buffer drains.
@@ -219,7 +264,9 @@ let accept_one t h =
        with Unix.Unix_error _ | Invalid_argument _ -> ());
       let conn =
         { fd;
-          ic = Unix.in_channel_of_descr fd;
+          rbuf = Bytes.create read_block;
+          rlo = 0;
+          rhi = 0;
           oc = Unix.out_channel_of_descr fd;
           wlock = Mutex.create ();
           flock = Mutex.create ();

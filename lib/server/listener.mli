@@ -6,10 +6,15 @@
 
     One listener thread (or the caller's, under {!run}) accepts
     connections and is woken by a self-pipe for shutdown; each
-    connection gets a reader thread. Blank lines are ignored; every
-    other line gets the next per-connection sequence number and goes
-    to [handler.line] — except that a line longer than 1 MiB goes as
-    an [Error], and the connection is closed after it.
+    connection gets a reader thread, which reads the socket in blocks
+    of up to 64 KiB and splits them into lines (a line spanning blocks
+    is gathered; one block's bytes past a newline wait for the next
+    line). Blank lines are ignored, [\r] is kept, and a final line
+    without a newline is still a line. Every non-blank line gets the
+    next per-connection sequence number and goes to [handler.line] —
+    except that a line longer than 1 MiB (its newline not counted)
+    goes as an [Error] once that much of it has arrived, and the
+    connection is closed after it.
 
     Ordering: responses go out through {!send}, which holds them in a
     per-connection reorder buffer and flushes strictly by sequence

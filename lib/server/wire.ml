@@ -101,9 +101,22 @@ let parse_string st =
     | Some c when Char.code c < 0x20 ->
         bad "raw control byte 0x%02x inside string at byte %d" (Char.code c)
           st.pos
-    | Some c ->
-        st.pos <- st.pos + 1;
-        Buffer.add_char b c;
+    | Some _ ->
+        (* Copy the whole run of plain bytes up to the next quote,
+           backslash or control byte at once. *)
+        let line = st.line and start = st.pos in
+        let n = String.length line in
+        let j = ref start in
+        while
+          !j < n
+          && (match String.unsafe_get line !j with
+             | '"' | '\\' -> false
+             | c -> Char.code c >= 0x20)
+        do
+          incr j
+        done;
+        Buffer.add_substring b line start (!j - start);
+        st.pos <- !j;
         go ()
   in
   go ();
@@ -253,5 +266,8 @@ let error_line ~id err msg =
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  let rec matches_at i k =
+    k = nn || (hay.[i + k] = needle.[k] && matches_at i (k + 1))
+  in
+  let rec go i = i + nn <= nh && (matches_at i 0 || go (i + 1)) in
   go 0

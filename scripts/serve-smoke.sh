@@ -10,6 +10,10 @@
 #     (it exits nonzero otherwise, and writes BENCH_serve.json);
 #   - a malformed probe line gets a typed parse_error while the same
 #     connection keeps working (client exits 1: one error response);
+#   - on one connection, three health lines and a `certain` request
+#     over a generated db of at least 256 KiB (so its line spans
+#     several 64 KiB read blocks) get exactly one response each, in
+#     order, the last with "ok":true;
 #   - SIGTERM drains the server: exit status 0, socket unlinked;
 #   - the server's --trace output passes scripts/check-trace.sh.
 #
@@ -23,7 +27,10 @@ SOCK="${TMPDIR:-/tmp}/certainty-serve-smoke-$$.sock"
 TRACE="${SERVE_TRACE:-_build/serve-trace.jsonl}"
 OUT="${SERVE_BENCH_OUT:-BENCH_serve.json}"
 
-CERTAINTY=(dune exec --no-build -- certainty)
+# The built binary, not `dune exec`: a backgrounded `dune exec` races
+# the client invocations for the build lock, and the loser cannot find
+# the executable.
+CERTAINTY=(_build/default/bin/certainty_cli.exe)
 
 dune build bin/certainty_cli.exe bench/main.exe
 
@@ -48,6 +55,39 @@ if "${CERTAINTY[@]}" client --socket "$SOCK" --raw '{oops' health --id probe; th
   echo "FATAL: client should exit 1 on the parse_error response" >&2
   exit 1
 fi
+
+echo "== large-line probe: a >= 256 KiB request among health lines =="
+BIGDB="${TMPDIR:-/tmp}/certainty-serve-smoke-$$.db"
+trap 'kill -TERM "$SERVE_PID" 2>/dev/null || true; rm -f "$BIGDB"' EXIT
+# Every triple over 14 constants with 33-byte names: 2744 rows, ~320 KB,
+# shaped like the routed benchmark sessions so it evaluates quickly.
+PAD=xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx
+{
+  printf 'R = { '
+  sep=''
+  for a in $(seq 14); do for b in $(seq 14); do for c in $(seq 14); do
+    printf "%s('g%d%s', 'g%d%s', 'g%d%s')" "$sep" "$a" "$PAD" "$b" "$PAD" "$c" "$PAD"
+    sep=', '
+  done; done; done
+  printf " }; S = { ('g1%s', ~1), ('g2%s', 'g3%s') }" "$PAD" "$PAD" "$PAD"
+} > "$BIGDB"
+[ "$(wc -c < "$BIGDB")" -ge 262144 ] || { echo "FATAL: generated db under 256 KiB" >&2; exit 1; }
+BIGOUT=$("${CERTAINTY[@]}" client --socket "$SOCK" \
+  --raw '{"id":"h1","op":"health"}' --raw '{"id":"h2","op":"health"}' \
+  --raw '{"id":"h3","op":"health"}' \
+  certain --id big -s "R(a,b,c); S(a,b)" --db "@$BIGDB" \
+  -q "Q(x) := exists y. exists z. S(x, y) & R(y, x, z)") \
+  || { echo "FATAL: large-line probe failed" >&2; echo "$BIGOUT" | cut -c1-300 >&2; exit 1; }
+[ "$(printf '%s\n' "$BIGOUT" | wc -l)" -eq 4 ] \
+  || { echo "FATAL: expected 4 response lines" >&2; exit 1; }
+for n in 1 2 3; do
+  printf '%s\n' "$BIGOUT" | sed -n "${n}p" | grep -q "^{\"id\":\"h$n\",\"ok\":true," \
+    || { echo "FATAL: response $n does not answer health h$n" >&2; exit 1; }
+done
+printf '%s\n' "$BIGOUT" | sed -n 4p | grep -q '^{"id":"big","ok":true,"op":"certain"' \
+  || { echo "FATAL: the large certain request was not answered ok" >&2; exit 1; }
+echo "4 lines, 4 responses in order; the $(wc -c < "$BIGDB")-byte db answered ok"
+rm -f "$BIGDB"
 
 echo "== graceful drain on SIGTERM =="
 kill -TERM "$SERVE_PID"

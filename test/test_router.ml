@@ -11,6 +11,7 @@ module Session = Server.Session
 module Service = Server.Service
 module Daemon = Server.Daemon
 module Client = Server.Client
+module Listener = Server.Listener
 module Ring = Shard.Ring
 module Router = Shard.Router
 
@@ -208,10 +209,7 @@ let reference lines =
           | Error (err, msg) -> W.error_line ~id:r.W.id err msg))
     lines
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let contains = W.contains
 
 let test_router_byte_identity () =
   with_cluster "id" @@ fun ~router:_ ~raddr ~stop_shard:_ ~start_shard:_ ->
@@ -377,54 +375,94 @@ let test_router_caps_line_length () =
   | None -> ()
   | Some l -> Alcotest.failf "connection should be closed, got %s" l
 
-(* A measure whose class pass (the 115,975 set partitions of 10 nulls)
-   keeps a shard busy long enough to drain the router around it. *)
-let slow_line =
-  let n = 10 in
-  let cols = List.init n (Printf.sprintf "c%d") in
-  let nulls = List.init n (fun i -> Printf.sprintf "~%d" (i + 1)) in
-  W.obj
-    [ ("id", W.S "slow"); ("op", W.S "measure");
-      ("schema", W.S (Printf.sprintf "U(%s)" (String.concat "," cols)));
-      ("db", W.S (Printf.sprintf "U = { (%s) }" (String.concat ", " nulls)));
-      ( "query",
-        W.S
-          (Printf.sprintf "Q() := exists x. U(%s)"
-             (String.concat ", " (List.init n (fun _ -> "x")))) );
-      ("ks", W.S "3")
-    ]
+(* The router reads with the same capped reader as the daemon: a
+   line of exactly 2^20 bytes is answered, one more byte is refused. *)
+let test_router_cap_is_exact () =
+  with_cluster "exact" @@ fun ~router:_ ~raddr ~stop_shard:_ ~start_shard:_ ->
+  let health_of_length n =
+    let shell = W.obj [ ("op", W.S "health"); ("id", W.S "") ] in
+    W.obj
+      [ ("op", W.S "health");
+        ("id", W.S (String.make (n - String.length shell) 'p'))
+      ]
+  in
+  Client.with_conn raddr (fun c ->
+      check Alcotest.bool "2^20 bytes accepted" true
+        (contains (request_exn c (health_of_length (1 lsl 20))) {|"ok":true|}));
+  Client.with_conn raddr @@ fun c ->
+  let resp = request_exn c (health_of_length ((1 lsl 20) + 1)) in
+  check Alcotest.bool "2^20 + 1 bytes refused" true
+    (contains resp {|"error":"parse_error"|} && contains resp "exceeds");
+  match Client.recv_line c with
+  | None -> ()
+  | Some l -> Alcotest.failf "connection should be closed, got %s" l
+
+(* A stub shard on the shared socket tier. It answers the router's
+   health probes inline and holds every other request until [release];
+   [wait_held] returns once one is held. The held answer is larger
+   than a 64 KiB read block. *)
+let held_response =
+  W.ok_line ~id:(Some "held") ~op:"certain"
+    [ ("pad", W.S (String.make 200_000 'p')) ]
+
+let stub_shard sock =
+  let m = Mutex.create () and cv = Condition.create () in
+  let held = ref false and released = ref false in
+  let await pred =
+    Mutex.protect m (fun () -> while not (pred ()) do Condition.wait cv m done)
+  in
+  let set r = Mutex.protect m (fun () -> r := true; Condition.broadcast cv) in
+  let l = Listener.bind (Listener.Unix_sock sock) in
+  Listener.start l
+    { Listener.accepted = ignore;
+      line =
+        (fun conn seq line ->
+          match line with
+          | Ok line when contains line {|"op":"health"|} ->
+              Listener.send conn seq
+                (W.ok_line ~id:None ~op:"health" [ ("generation", W.I 1) ])
+          | _ ->
+              set held;
+              await (fun () -> !released);
+              Listener.send conn seq held_response);
+      drain = ignore
+    };
+  let release () = set released in
+  let stop () =
+    release ();
+    Listener.drain l;
+    Listener.wait l
+  in
+  (fun () -> await (fun () -> !held)), release, stop
 
 let test_router_drain () =
   let ssock = temp_sock "drs" and rsock = temp_sock "drr" in
   List.iter (fun s -> if Sys.file_exists s then Sys.remove s) [ ssock; rsock ];
-  let shard = Daemon.start (shard_config ssock) in
-  Fun.protect ~finally:(fun () -> Daemon.drain shard; Daemon.wait shard)
-  @@ fun () ->
+  let wait_held, release, stop = stub_shard ssock in
+  Fun.protect ~finally:stop @@ fun () ->
   let raddr = Daemon.Unix_sock rsock in
   let router =
     Router.start
       (Router.default_config ~addr:raddr ~shards:[ Daemon.Unix_sock ssock ])
   in
-  let expected = List.hd (reference [ slow_line ]) in
   let c = Client.connect raddr and later = Client.connect raddr in
-  Client.send_line c slow_line;
-  (* Drain only once the shard is working on the request. *)
-  Client.with_conn (Daemon.Unix_sock ssock) (fun probe ->
-      wait_until "the slow request to reach the shard" (fun () ->
-          contains
-            (request_exn probe {|{"op":"health"}|})
-            {|"inflight":1|}));
+  (* Both connections are accepted and read before the drain starts. *)
+  check Alcotest.bool "second connection served before the drain" true
+    (contains (request_exn later {|{"op":"health"}|}) {|"ok":true|});
+  Client.send_line c (certain_line ~id:"held" "h");
+  wait_held ();
   Router.drain router;
-  (* A request arriving during the drain is refused: typed, or by the
-     connection being shut down under it. *)
+  (* A request arriving during the drain is refused, typed: the
+     connections stay up until the held request is answered. *)
   Client.send_line later (certain_line ~id:"late" "z");
   (match Client.recv_line later with
-  | None -> ()
   | Some resp ->
       check Alcotest.bool "late request refused with shutting_down" true
-        (contains resp {|"error":"shutting_down"|}));
+        (contains resp {|"error":"shutting_down"|})
+  | None -> Alcotest.fail "late request got no answer");
+  release ();
   check Alcotest.(option string) "in-flight request answered in full"
-    (Some expected) (Client.recv_line c);
+    (Some held_response) (Client.recv_line c);
   Router.wait router;
   Client.close c;
   Client.close later;
@@ -464,6 +502,8 @@ let () =
             `Quick test_router_replay_after_restart;
           Alcotest.test_case "request lines are length-capped" `Quick
             test_router_caps_line_length;
-          Alcotest.test_case "graceful drain" `Quick test_router_drain
+          Alcotest.test_case "graceful drain" `Quick test_router_drain;
+          Alcotest.test_case "line cap is exact at 2^20 bytes" `Quick
+            test_router_cap_is_exact
         ] )
     ]

@@ -10,12 +10,10 @@ module Service = Server.Service
 module Daemon = Server.Daemon
 module Client = Server.Client
 
-let check = Alcotest.check
+module Listener = Server.Listener
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let check = Alcotest.check
+let contains = W.contains
 
 (* --- wire: requests ----------------------------------------------- *)
 
@@ -77,6 +75,70 @@ let test_parse_bad () =
     (contains (parse_err {|{"op":"x"} extra|}) "trailing");
   check Alcotest.bool "byte position reported" true
     (contains (parse_err {|{oops|}) "byte")
+
+(* Plain runs are copied whole; escapes and diagnostics around them
+   must come out as they did byte by byte. *)
+let test_parse_long_runs () =
+  let run = String.make 70_000 'a' in
+  let r =
+    parse_ok
+      (Printf.sprintf {|{"op":"x","s":"%s\n%s\u00e9%s"}|} run run run)
+  in
+  check Alcotest.(option string) "runs around escapes"
+    (Some (run ^ "\n" ^ run ^ "\xc3\xa9" ^ run))
+    (W.str_field r "s");
+  check Alcotest.string "control byte after a run, at its position"
+    "raw control byte 0x09 inside string at byte 70015"
+    (parse_err (Printf.sprintf "{\"op\":\"x\",\"s\":\"%s\tb\"}" run));
+  check Alcotest.string "unterminated after a run"
+    "unterminated string at end of line"
+    (parse_err (Printf.sprintf {|{"op":"x","s":"%s|} run))
+
+(* The shared escaper against its byte-by-byte definition. *)
+let test_escape_runs () =
+  let reference s =
+    let b = Buffer.create 16 in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b {|\"|}
+        | '\\' -> Buffer.add_string b {|\\|}
+        | '\n' -> Buffer.add_string b {|\n|}
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  in
+  let all_bytes = String.init 256 Char.chr in
+  List.iter
+    (fun s ->
+      check Alcotest.string "escape = byte-by-byte escape" (reference s)
+        (Obs.Json.escape s);
+      (* And the parser reads every escaped string back. *)
+      check Alcotest.(option string) "escape round-trips" (Some s)
+        (W.str_field (parse_ok (W.obj [ ("op", W.S "x"); ("s", W.S s) ])) "s"))
+    [ ""; "plain"; "\""; "a\"b\\c\n"; "\n\n"; all_bytes;
+      String.make 5000 'x' ^ all_bytes ^ String.make 5000 'y' ^ "\001"
+    ]
+
+let test_contains () =
+  let yes hay needle =
+    check Alcotest.bool (Printf.sprintf "%S in %S" needle hay) true
+      (W.contains hay needle)
+  and no hay needle =
+    check Alcotest.bool (Printf.sprintf "%S not in %S" needle hay) false
+      (W.contains hay needle)
+  in
+  yes {|"ok":true,"op":"x"|} {|"ok":true|};
+  yes {|{"op":"x","ok":true|} {|"ok":true|};
+  yes "abc" "";
+  yes "" "";
+  yes "aab" "ab";
+  no {|{"ok":false}|} {|"ok":true|};
+  no "ok" {|"ok":true|};
+  no "" "a";
+  no "abab" "abb"
 
 let test_wire_responses () =
   check Alcotest.string "ok line"
@@ -475,6 +537,130 @@ let test_daemon_caps_line_length () =
   | None -> ()
   | Some l -> Alcotest.failf "connection should be closed, got %s" l
 
+(* The reader, driven through a bare socket so that writes split (or
+   join) lines exactly as the test says. *)
+let raw_connect addr =
+  let sa = Listener.sockaddr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  Unix.connect fd sa;
+  (fd, Unix.in_channel_of_descr fd)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let recv_exn ic =
+  match input_line ic with
+  | l -> l
+  | exception End_of_file -> Alcotest.fail "server hung up"
+
+let expect_eof ic =
+  match input_line ic with
+  | exception End_of_file -> ()
+  | l -> Alcotest.failf "expected EOF, got %s" l
+
+let health ~id = W.obj [ ("op", W.S "health"); ("id", W.S id) ]
+
+let test_daemon_one_write_many_lines () =
+  with_daemon "batch" @@ fun addr ->
+  let fd, ic = raw_connect addr in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* Every fifth line waits for a worker; the rest answer inline. *)
+  let line i =
+    let id = Printf.sprintf "b%d" i in
+    if i mod 5 = 0 then
+      W.obj
+        [ ("op", W.S "certain"); ("id", W.S id); ("schema", W.S schema_a);
+          ("db", W.S db_a); ("query", W.S "Q(x,y) := R(x,y) & !S(x,y)")
+        ]
+    else health ~id
+  in
+  write_all fd (String.concat "" (List.init 50 (fun i -> line i ^ "\n")));
+  for i = 0 to 49 do
+    let resp = recv_exn ic in
+    check Alcotest.bool
+      (Printf.sprintf "response %d answers line %d" i i)
+      true
+      (contains resp (Printf.sprintf {|"id":"b%d"|} i)
+      && contains resp {|"ok":true|})
+  done
+
+let test_daemon_trickled_long_line () =
+  with_daemon "trickle" @@ fun addr ->
+  let fd, ic = raw_connect addr in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* A ~300 KB line (its id is echoed back, so every byte is checked)
+     and a short one behind it, cut into uneven writes that straddle
+     the 64 KiB read blocks and the newline between the two. *)
+  let id = String.init 300_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let stream = health ~id ^ "\n" ^ health ~id:"after" ^ "\n" in
+  let sizes = [| 1; 7_000; 65_535; 65_537; 100; 90_000; 3; 40_000 |] in
+  let rec go off k =
+    if off < String.length stream then begin
+      let n = min sizes.(k mod Array.length sizes) (String.length stream - off) in
+      write_all fd (String.sub stream off n);
+      Thread.delay 0.002;
+      go (off + n) (k + 1)
+    end
+  in
+  go 0 0;
+  let echoed = Printf.sprintf {|{"id":"%s","ok":true,"op":"health",|} id in
+  check Alcotest.bool "long line arrives whole" true
+    (String.starts_with ~prefix:echoed (recv_exn ic));
+  check Alcotest.bool "the line behind it is answered next" true
+    (contains (recv_exn ic) {|"id":"after"|})
+
+(* A health line of exactly [n] bytes: its id pads it out. *)
+let health_of_length n =
+  let shell = health ~id:"" in
+  health ~id:(String.make (n - String.length shell) 'p')
+
+let test_daemon_cap_is_exact () =
+  with_daemon "exact" @@ fun addr ->
+  Client.with_conn addr (fun c ->
+      let line = health_of_length (1 lsl 20) in
+      check Alcotest.int "line length" (1 lsl 20) (String.length line);
+      check Alcotest.bool "2^20 bytes accepted" true
+        (contains (request_exn c line) {|"ok":true|});
+      check Alcotest.bool "connection stays open" true
+        (contains (request_exn c (health ~id:"x")) {|"id":"x"|}));
+  Client.with_conn addr @@ fun c ->
+  let resp = request_exn c (health_of_length ((1 lsl 20) + 1)) in
+  check Alcotest.bool "2^20 + 1 bytes refused" true
+    (contains resp {|"error":"parse_error"|} && contains resp "exceeds");
+  match Client.recv_line c with
+  | None -> ()
+  | Some l -> Alcotest.failf "connection should be closed, got %s" l
+
+let test_daemon_last_line_without_newline () =
+  with_daemon "noeol" @@ fun addr ->
+  let fd, ic = raw_connect addr in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  write_all fd (health ~id:"first" ^ "\n" ^ health ~id:"last");
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  check Alcotest.bool "first line answered" true
+    (contains (recv_exn ic) {|"id":"first"|});
+  check Alcotest.bool "unterminated last line answered" true
+    (contains (recv_exn ic) {|"id":"last"|});
+  expect_eof ic
+
+let test_daemon_skips_blank_lines () =
+  with_daemon "blank" @@ fun addr ->
+  let fd, ic = raw_connect addr in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  write_all fd
+    ("\n\n" ^ health ~id:"a" ^ "\n\n\n" ^ health ~id:"b" ^ "\n\n");
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  check Alcotest.bool "first request answered first" true
+    (contains (recv_exn ic) {|"id":"a"|});
+  check Alcotest.bool "second request answered second" true
+    (contains (recv_exn ic) {|"id":"b"|});
+  (* A blank line taken for a request would have drawn a parse_error. *)
+  expect_eof ic
+
 let test_resolve_ipv4 () =
   check Alcotest.string "literal address passes through" "127.0.0.1"
     (Unix.string_of_inet_addr (Daemon.resolve_ipv4 "127.0.0.1"));
@@ -517,7 +703,11 @@ let () =
           Alcotest.test_case "decodes escapes" `Quick test_parse_escapes;
           Alcotest.test_case "rejects malformed requests" `Quick test_parse_bad;
           Alcotest.test_case "emits parseable responses" `Quick
-            test_wire_responses
+            test_wire_responses;
+          Alcotest.test_case "long plain runs parse whole" `Quick
+            test_parse_long_runs;
+          Alcotest.test_case "escaping copies runs" `Quick test_escape_runs;
+          Alcotest.test_case "substring test in place" `Quick test_contains
         ] );
       ( "session",
         [ Alcotest.test_case "sharing and LRU eviction" `Quick
@@ -551,6 +741,16 @@ let () =
             test_daemon_caps_line_length;
           Alcotest.test_case "host resolution fails readably" `Quick
             test_resolve_ipv4;
-          Alcotest.test_case "graceful drain" `Quick test_daemon_drain
+          Alcotest.test_case "graceful drain" `Quick test_daemon_drain;
+          Alcotest.test_case "many lines in one write, in order" `Quick
+            test_daemon_one_write_many_lines;
+          Alcotest.test_case "a long line trickled across blocks" `Quick
+            test_daemon_trickled_long_line;
+          Alcotest.test_case "line cap is exact at 2^20 bytes" `Quick
+            test_daemon_cap_is_exact;
+          Alcotest.test_case "last line without a newline" `Quick
+            test_daemon_last_line_without_newline;
+          Alcotest.test_case "blank lines are skipped" `Quick
+            test_daemon_skips_blank_lines
         ] )
     ]
