@@ -252,9 +252,10 @@ let with_context schema db query f =
 
 (* The static-analysis gate of the evaluating subcommands: report
    errors and warnings (never hints) on stderr; under --strict, errors
-   abort before any evaluation starts. *)
-let precheck ?deps ?tuple ~strict schema inst q =
-  let report = Analysis.Report.analyze ~inst ?deps ?tuple schema q in
+   abort before any evaluation starts. Returns the report, whose
+   decomposition certificate (taken at [decomp_k]) measure reuses. *)
+let precheck ?deps ?tuple ?decomp_k ~strict schema inst q =
+  let report = Analysis.Report.analyze ~inst ?deps ?tuple ?decomp_k schema q in
   let visible =
     List.filter
       (fun d -> d.Analysis.Diag.severity <> Analysis.Diag.Hint)
@@ -273,7 +274,8 @@ let precheck ?deps ?tuple ~strict schema inst q =
       "error: static analysis failed (--strict); run 'certainty analyze' \
        for the full report\n";
     exit 1
-  end
+  end;
+  report
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                          *)
@@ -295,15 +297,14 @@ let certain_cmd =
   let run schema db query jobs strict metrics metrics_json trace =
     with_obs ~metrics ~metrics_json ~trace @@ fun () ->
     with_context schema db query (fun sch inst q ->
-        precheck ~strict sch inst q;
+        ignore (precheck ~strict sch inst q);
         let jobs = jobs_opt jobs
         and cache = Incomplete.Support.create_cache () in
         Printf.printf "query: %s\n\n" (Query.to_string q);
-        print_relation "certain answers"
-          (Incomplete.Certain.certain_answers ?jobs ~cache inst q);
-        print_relation "possible answers"
-          (Incomplete.Certain.possible_answers ?jobs ~cache inst q);
-        print_relation "naive answers" (Incomplete.Naive.answers inst q))
+        let a = Incomplete.Certain.answers ?jobs ~cache inst q in
+        print_relation "certain answers" a.Incomplete.Certain.certain;
+        print_relation "possible answers" a.Incomplete.Certain.possible;
+        print_relation "naive answers" a.Incomplete.Certain.naive)
   in
   let doc =
     "Compute certain and possible answers exactly (exponential in the number \
@@ -346,9 +347,9 @@ let print_route route =
         (Analysis.Decomp.sizes_string dden)
   | _ -> ()
 
-let print_exact_series ~census ~label ~cell inst target ks =
+let print_exact_series ~census ~route ~label ~cell inst target ks =
   let series = pipeline_or_die (Pipeline.series ~census inst target ~ks) in
-  print_route (Pipeline.route inst target ~ks);
+  print_route route;
   Printf.printf "%s series (exact):\n" label;
   List.iter
     (fun (k, v) ->
@@ -366,7 +367,17 @@ let measure_cmd =
         let approx = parse_approx approx in
         let ks = parse_ks inst ks in
         let tuple = answer_tuple q tuple in
-        precheck ~tuple ~strict sch inst q;
+        (* One decomposition certificate, at the series' largest k, for
+           the precheck and the decomposition line alike; the cost
+           figures keep their content-determined k. *)
+        let report =
+          precheck ~tuple ~decomp_k:(List.fold_left max 1 ks) ~strict sch
+            inst q
+        in
+        let route =
+          Pipeline.route_of_certificates
+            (Option.to_list report.Analysis.Report.decomp)
+        in
         Printf.printf "query:  %s\n" (Query.to_string q);
         Printf.printf "tuple:  %s\n" (Tuple.to_string tuple);
         let m =
@@ -381,7 +392,7 @@ let measure_cmd =
         let target = Pipeline.Answer (q, tuple) in
         match approx with
         | None ->
-            print_exact_series ~census:m.Pipeline.census ~label:"µ^k"
+            print_exact_series ~census:m.Pipeline.census ~route ~label:"µ^k"
               ~cell:"µ^k = " inst target ks
         | Some (eps, delta) ->
             (* The sampler needs a nonempty space. *)
@@ -391,7 +402,7 @@ let measure_cmd =
                   "error: --approx needs --ks entries >= 1, got %d\n" k;
                 exit 2
             | None -> ());
-            print_route (Pipeline.route inst target ~ks);
+            print_route route;
             let n = AE.sample_size ~eps ~delta in
             Printf.printf
               "µ^k estimates (Monte-Carlo, ε = %s, δ = %s, %d samples/k, \
@@ -442,7 +453,7 @@ let conditional_cmd =
         let sigma = Constraints.Dependency.set_to_formula sch deps in
         let ks = Option.map (fun s -> parse_ks inst (Some s)) ks in
         let tuple = answer_tuple q tuple in
-        precheck ~deps ~tuple ~strict sch inst q;
+        ignore (precheck ~deps ~tuple ~strict sch inst q);
         Printf.printf "query:       %s\n" (Query.to_string q);
         Printf.printf "tuple:       %s\n" (Tuple.to_string tuple);
         List.iter
@@ -474,7 +485,8 @@ let conditional_cmd =
         | Some ks ->
             let target = Pipeline.Given (sigma, q, tuple) in
             print_exact_series ~census:report.Zeroone.Conditional.census
-              ~label:"µ^k(Q|Σ)" ~cell:"" inst target ks)
+              ~route:(Pipeline.route inst target ~ks) ~label:"µ^k(Q|Σ)"
+              ~cell:"" inst target ks)
   in
   let doc =
     "Conditional measure µ(Q|Σ,D,t) under integrity constraints (Theorem 3); \

@@ -53,8 +53,6 @@ let build ~all_nulls split sentence =
   in
   { nodes; g_all_nulls = List.sort_uniq Int.compare all_nulls }
 
-let all_dsafe g = List.for_all (fun n -> n.n_dsafe) g.nodes
-
 let first_unsafe g = List.find_opt (fun n -> not n.n_dsafe) g.nodes
 
 (* ------------------------------------------------------------------ *)
@@ -121,6 +119,3 @@ let free_nulls g comps =
       (List.concat_map (fun (c : Factor.component) -> c.Factor.c_nulls) comps)
   in
   List.filter (fun nl -> not (List.mem nl covered)) g.g_all_nulls
-
-let covered_nulls g =
-  List.sort_uniq Int.compare (List.concat_map (fun n -> n.n_nulls) g.nodes)

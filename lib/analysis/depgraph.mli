@@ -32,7 +32,6 @@ val build :
     ([Support.all_nulls]); the split supplies the per-relation null
     tuples of the database the sentence is evaluated on. *)
 
-val all_dsafe : t -> bool
 val first_unsafe : t -> node option
 
 val components : t -> Incomplete.Factor.component list
@@ -41,5 +40,3 @@ val components : t -> Incomplete.Factor.component list
 
 val free_nulls : t -> Incomplete.Factor.component list -> int list
 (** Swept nulls no component touches. *)
-
-val covered_nulls : t -> int list

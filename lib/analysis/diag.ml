@@ -78,9 +78,6 @@ let to_string d =
   | None -> head
   | Some h -> head ^ "\n  = " ^ h
 
-let render_text ds =
-  String.concat "\n" (List.map to_string (sort ds))
-
 (* ------------------------------------------------------------------ *)
 (* JSON rendering (hand-rolled; no JSON library in the build)           *)
 (* ------------------------------------------------------------------ *)

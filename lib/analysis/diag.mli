@@ -98,9 +98,6 @@ val to_string : t -> string
 (** One line: [severity[CODE] loc: message] followed, on an indented
     second line, by the hint if present. *)
 
-val render_text : t list -> string
-(** Sorted, one diagnostic per entry; [""] for the empty list. *)
-
 val json_string : string -> string
 (** A JSON string literal with the necessary escapes — shared by every
     JSON renderer in this library (there is no JSON dependency). *)

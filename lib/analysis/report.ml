@@ -23,8 +23,9 @@ let has_tgds deps =
       | Constraints.Dependency.Fd _ | Constraints.Dependency.Key _ -> false)
     deps
 
-let analyze ?inst ?deps ?tuple ?k schema q =
+let analyze ?inst ?deps ?tuple ?k ?decomp_k schema q =
   let cost = Option.map (fun inst -> Cost.analyse ?k ?tuple inst) inst in
+  let k = match decomp_k with None -> k | Some _ -> decomp_k in
   (* The decomposition certificate needs a concrete support sentence:
      the query instantiated on the candidate tuple (or closed already
      for Boolean queries). *)

@@ -26,9 +26,13 @@ val analyze :
   ?deps:Constraints.Dependency.t list ->
   ?tuple:Relational.Tuple.t ->
   ?k:int ->
+  ?decomp_k:int ->
   Relational.Schema.t ->
   Logic.Query.t ->
   t
+(** [k] is the domain size the cost bound is quoted at; [decomp_k]
+    (default [k]) the one of the decomposition certificate, for a
+    caller that reuses the certificate at its own [k]. *)
 
 val has_errors : t -> bool
 

@@ -179,45 +179,3 @@ let check_query schema q =
   @ check_unused q
   @ check_trivial q
   @ check_implication q
-
-(* ------------------------------------------------------------------ *)
-(* Datalog programs and algebra plans                                   *)
-(* ------------------------------------------------------------------ *)
-
-let check_program schema prog =
-  let wf =
-    match Datalog.Program.well_formed schema prog with
-    | Ok () -> []
-    | Error msg ->
-        [ Diag.error ~code:"ANL003" ~loc:"program"
-            ~hint:"fix the rule against the EDB schema" msg
-        ]
-  in
-  wf @ genericity_diag ~loc:"program" (Datalog.Program.constants prog)
-
-let check_ra schema expr =
-  let module Ra = Logic.Ra in
-  let wf =
-    match Ra.well_formed schema expr with
-    | Ok () -> []
-    | Error msg ->
-        [ Diag.error ~code:"ANL003" ~loc:"ra"
-            ~hint:"fix the plan against the schema" msg
-        ]
-  in
-  let rec pred_consts acc = function
-    | Ra.Eq_const (_, v) | Ra.Neq_const (_, v) -> (
-        match Relational.Value.const_code v with
-        | Some c -> c :: acc
-        | None -> acc)
-    | Ra.Eq_col _ | Ra.Neq_col _ -> acc
-    | Ra.And_p (p, r) | Ra.Or_p (p, r) -> pred_consts (pred_consts acc p) r
-  in
-  let rec consts acc = function
-    | Ra.Rel _ -> acc
-    | Ra.Select (p, e) -> consts (pred_consts acc p) e
-    | Ra.Project (_, e) -> consts acc e
-    | Ra.Product (e, f) | Ra.Union (e, f) | Ra.Diff (e, f) ->
-        consts (consts acc e) f
-  in
-  wf @ genericity_diag ~loc:"ra" (List.sort_uniq Int.compare (consts [] expr))

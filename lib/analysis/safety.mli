@@ -29,14 +29,4 @@ val check_query :
     ANL003 (schema conformance), ANL101 (unused quantified variables),
     ANL102 (trivially true/false subformulas), ANL103 (top-level
     implication). The list is unsorted; callers render through
-    {!Diag.render_text}/{!Diag.render_json} which sort. *)
-
-val check_program :
-  Relational.Schema.t -> Datalog.Program.t -> Diag.t list
-(** Datalog programs: ANL003 for well-formedness violations (range
-    restriction of rules is part of [Datalog.Program.well_formed]),
-    ANL002 when the program mentions constants. *)
-
-val check_ra : Relational.Schema.t -> Logic.Ra.t -> Diag.t list
-(** Relational-algebra plans: ANL003 for ill-formed expressions,
-    ANL002 for constant selections. *)
+    {!Diag.render_json}, which sorts, or sort with {!Diag.sort}. *)

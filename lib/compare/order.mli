@@ -29,10 +29,3 @@ val equiv :
   Relational.Tuple.t ->
   bool
 (** Equal supports. *)
-
-val comparison_matrix :
-  Relational.Instance.t ->
-  Logic.Query.t ->
-  Relational.Tuple.t list ->
-  (Relational.Tuple.t * Relational.Tuple.t * bool) list
-(** All [⊴] facts among the given candidates (for display). *)

@@ -1,4 +1,3 @@
-module Instance = Relational.Instance
 module Tuple = Relational.Tuple
 module Query = Logic.Query
 module Classes = Incomplete.Classes
@@ -11,12 +10,7 @@ let witness inst q a b =
     Obs.Trace.span "sep.witness" @@ fun () ->
     let sa = Query.instantiate q a and sb = Query.instantiate q b in
     let db = Support.kernel_db inst in
-    let split = Incomplete.Kernel.split db in
-    let anchor_set = Support.anchor_set_sentences_split split [ sa; sb ] in
-    let nulls =
-      List.sort_uniq Int.compare
-        (Incomplete.Split.nulls split @ Tuple.nulls a @ Tuple.nulls b)
-    in
+    let { Support.anchor_set; classes; _ } = Support.space db [ sa; sb ] in
     (* Both sentences compiled once for the whole class sweep. *)
     let ca = Support.checker db sa and cb = Support.checker db sb in
     List.find_map
@@ -24,7 +18,7 @@ let witness inst q a b =
         let v = Classes.representative ~anchor_set cls in
         if Support.check ca v && not (Support.check cb v) then Some v
         else None)
-      (Classes.enumerate ~anchor_set ~nulls)
+      classes
   end
 
 let sep inst q a b = Option.is_some (witness inst q a b)

@@ -208,7 +208,3 @@ let chase_tgds ?(max_steps = 10_000) schema deps inst =
                 (steps + 1)))
   in
   loop inst 0
-
-let tgd_result = function
-  | Tgd_fixpoint i | Tgd_budget i -> Some i
-  | Tgd_failed _ -> None

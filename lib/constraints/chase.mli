@@ -87,6 +87,3 @@ val chase_tgds :
   Relational.Instance.t ->
   tgd_outcome
 (** [max_steps] defaults to 10_000 TGD insertions. *)
-
-val tgd_result : tgd_outcome -> Relational.Instance.t option
-(** The (possibly partial) chased instance; [None] on failure. *)

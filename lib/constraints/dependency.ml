@@ -42,9 +42,6 @@ let foreign_key src src_cols dst dst_cols =
     ForeignKey
       { fk_src = src; fk_src_cols = src_cols; fk_dst = dst; fk_dst_cols = dst_cols }
 
-let fd_of_attrs schema r lhs rhs =
-  fd r (List.map (Schema.attr_index schema r) lhs) (Schema.attr_index schema r rhs)
-
 let key_of_attrs schema r cols = key r (List.map (Schema.attr_index schema r) cols)
 
 (* ------------------------------------------------------------------ *)

@@ -47,9 +47,6 @@ val ind : string -> int list -> string -> int list -> t
 val key : string -> int list -> t
 val foreign_key : string -> int list -> string -> int list -> t
 
-val fd_of_attrs : Relational.Schema.t -> string -> string list -> string -> t
-(** FD by attribute names. @raise Not_found for unknown attributes. *)
-
 val key_of_attrs : Relational.Schema.t -> string -> string list -> t
 
 (** {1 Semantics} *)

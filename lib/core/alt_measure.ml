@@ -38,8 +38,6 @@ let m_k_boolean inst q ~k =
   if Query.arity q <> 0 then invalid_arg "Alt_measure.m_k_boolean: query not Boolean"
   else m_k inst q Tuple.empty ~k
 
-let m_k_series inst q tuple ~ks = List.map (fun k -> (k, m_k inst q tuple ~k)) ks
-
 let semantics_size inst ~k =
   let nulls = Instance.nulls inst in
   let worlds =

@@ -22,13 +22,6 @@ val m_k :
 val m_k_boolean :
   Relational.Instance.t -> Logic.Query.t -> k:int -> Arith.Rat.t
 
-val m_k_series :
-  Relational.Instance.t ->
-  Logic.Query.t ->
-  Relational.Tuple.t ->
-  ks:int list ->
-  (int * Arith.Rat.t) list
-
 val semantics_size : Relational.Instance.t -> k:int -> int
 (** [|[[D]]^k|]: the number of distinct complete databases representable
     with the first [k] constants. *)

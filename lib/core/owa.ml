@@ -78,5 +78,3 @@ let owa_m_k ?(max_tuple_space = 20) inst q ~k =
     end
   end
 
-let owa_m_k_series ?max_tuple_space inst q ~ks =
-  List.map (fun k -> (k, owa_m_k ?max_tuple_space inst q ~k)) ks

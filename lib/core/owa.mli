@@ -23,13 +23,6 @@ val owa_m_k :
     total tuple space [Σ_R k^arity(R)] exceeds [max_tuple_space]
     (default 20), or if [k] is smaller than a constant of [D]. *)
 
-val owa_m_k_series :
-  ?max_tuple_space:int ->
-  Relational.Instance.t ->
-  Logic.Query.t ->
-  ks:int list ->
-  (int * Arith.Rat.t) list
-
 val owa_semantics_k :
   Relational.Instance.t -> k:int -> Relational.Instance.t list
 (** The finite family [[D]]_owa^k itself (for inspection and tests). *)

@@ -57,22 +57,23 @@ let check_ks ks =
   | Some k -> Error (Negative_k k)
   | None -> Ok ()
 
-let route inst target ~ks =
-  let k = List.fold_left max 1 ks in
-  let certificates =
-    match target with
-    | Answer (q, tuple) ->
-        [ Decomp.analyze ~k ~extra_nulls:(Tuple.nulls tuple) inst
-            (Logic.Query.instantiate q tuple) ]
-    | Given (sigma, q, tuple) ->
-        let dnum, dden = Conditional.cond_decomp ~k ~sigma inst q tuple in
-        [ dnum; dden ]
-  in
+let route_of_certificates certificates =
   if
     List.exists (fun d -> d.Decomp.verdict = Decomp.Decomposable) certificates
     && List.for_all (fun d -> Decomp.plan d <> None) certificates
   then Factorized certificates
   else Monolithic
+
+let route inst target ~ks =
+  let k = List.fold_left max 1 ks in
+  route_of_certificates
+    (match target with
+    | Answer (q, tuple) ->
+        [ Decomp.analyze ~k ~extra_nulls:(Tuple.nulls tuple) inst
+            (Logic.Query.instantiate q tuple) ]
+    | Given (sigma, q, tuple) ->
+        let dnum, dden = Conditional.cond_decomp ~k ~sigma inst q tuple in
+        [ dnum; dden ])
 
 (* The nulls of V^k: those of D, ā and Σ. *)
 let space_nulls inst target =

@@ -58,8 +58,13 @@ val conditional :
 (** [Unknown_null] first; then {!Conditional.mu_cond_report}. *)
 
 val route : Relational.Instance.t -> target -> ks:int list -> route
-(** The certificates at [k = max(1, max ks)]: [Factorized] when some
-    counted sentence is [Decomposable] (ANL401) and all have plans. *)
+(** {!route_of_certificates} on the certificates at
+    [k = max(1, max ks)]. *)
+
+val route_of_certificates : Analysis.Decomp.t list -> route
+(** [Factorized] when some counted sentence is [Decomposable] (ANL401)
+    and all have plans — for a front end that already holds the
+    certificates, such as the CLI's precheck report. *)
 
 val series :
   census:Support_poly.t ->

@@ -1,11 +1,7 @@
-module Instance = Relational.Instance
-module Tuple = Relational.Tuple
 module Query = Logic.Query
-module Formula = Logic.Formula
 module Classes = Incomplete.Classes
 module Support = Incomplete.Support
 module Split = Incomplete.Split
-module Kernel = Incomplete.Kernel
 module Poly = Arith.Poly
 module B = Arith.Bigint
 module Rat = Arith.Rat
@@ -114,13 +110,7 @@ let of_predicates ?jobs ~anchor_set ~nulls inst predicates =
 
 let of_sentences ?jobs ?guard ?cache inst sentences =
   let db = Support.kernel_db ?cache inst in
-  let split = Kernel.split db in
-  let anchor_set = Support.anchor_set_sentences_split split sentences in
-  let nulls =
-    List.sort_uniq Int.compare
-      (Split.nulls split @ List.concat_map Formula.nulls sentences)
-  in
-  let classes = Classes.enumerate ~anchor_set ~nulls in
+  let { Support.anchor_set; nulls; classes } = Support.space db sentences in
   (* Each chunk compiles the kernels behind its own checkers. *)
   make ~anchor_set ~nulls
     (sum_over_classes ?jobs ?guard ~anchor_set ~nulls ~width:sentences

@@ -1,118 +1,132 @@
-module Instance = Relational.Instance
 module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Query = Logic.Query
-module Formula = Logic.Formula
 
-let all_nulls_split split tuple =
-  List.sort_uniq Int.compare (Split.nulls split @ Tuple.nulls tuple)
+type answers = {
+  certain : Relation.t;
+  possible : Relation.t;
+  naive : Relation.t;
+}
 
-(* Short-circuiting check: certainty needs every class to witness, so
-   stop at the first refuting class (possibility dually at the first
-   witnessing one) instead of checking every class. The metric
-   counts each early stop that actually skipped at least one item. *)
-let rec for_all_sc p = function
-  | [] -> true
-  | [ x ] -> p x
-  | x :: rest ->
-      if p x then for_all_sc p rest
-      else begin
-        Obs.Metrics.incr Obs.Metrics.short_circuits;
-        false
-      end
+(* What a candidate's class scan must find out. Certainty is "every
+   class satisfies", possibility "some class does". [Possible_only c]
+   asks for possibility alone, with [c] standing as the certainty
+   verdict: the Pos∀G dispatch passes the naive one, a
+   possibility-only call [false]. A candidate that stands as certain
+   is possible without a scan, as every class is non-empty. *)
+type need = Certain_only | Both | Possible_only of bool
 
-let rec exists_sc p = function
-  | [] -> false
-  | [ x ] -> p x
-  | x :: rest ->
-      if p x then begin
-        Obs.Metrics.incr Obs.Metrics.short_circuits;
-        true
-      end
-      else exists_sc p rest
+(* One candidate's (certain, possible) verdicts. The scan stops as
+   soon as every verdict asked for is known. Representatives are
+   checked through [chk], forced at the first check, and [tick] is
+   called before each one. The metric counts each early stop that
+   skipped at least one checked class. *)
+let judge ~tick need reps chk =
+  let n = Array.length reps in
+  let scan_all, scan_some, all =
+    match need with
+    | Certain_only -> (true, false, true)
+    | Both -> (true, true, true)
+    | Possible_only c -> (false, true, c)
+  in
+  (* Still open: a refutation or a witness that is asked for and not
+     yet seen. *)
+  let pending all some = (scan_all && all) || (scan_some && not some) in
+  let rec go i all some =
+    if i = n then (all, some)
+    else if not (pending all some) then begin
+      if i > 0 then Obs.Metrics.incr Obs.Metrics.short_circuits;
+      (all, some)
+    end
+    else begin
+      tick ();
+      let holds = Support.check (Lazy.force chk) reps.(i) in
+      go (i + 1) (all && (holds || not scan_all)) (some || holds)
+    end
+  in
+  go 0 all (all && not scan_all)
 
-let check_candidate ~all db q tuple =
-  let split = Kernel.split db in
-  let sentence = Query.instantiate q tuple in
-  let anchor_set = Support.anchor_set_sentences_split split [ sentence ] in
-  let nulls = all_nulls_split split tuple in
-  (* The kernel is compiled for this call alone. *)
-  let chk = Support.checker db sentence in
-  let verdict c = Support.check chk (Classes.representative ~anchor_set c) in
-  let classes = Classes.enumerate ~anchor_set ~nulls in
-  if all then for_all_sc verdict classes else exists_sc verdict classes
-
-let is_certain ?cache inst q tuple =
-  check_candidate ~all:true (Support.kernel_db ?cache inst) q tuple
-
-let is_possible ?cache inst q tuple =
-  check_candidate ~all:false (Support.kernel_db ?cache inst) q tuple
-
-let candidates inst m =
-  List.map Tuple.of_list (Arith.Combinat.tuples (Instance.adom inst) m)
-
-(* The candidate sweep is embarrassingly parallel: each candidate's
-   certainty check is independent, and the per-chunk result relations
-   are merged with set union (commutative), combined in chunk order.
-   Candidates are few but each check sweeps equivalence classes, so
-   even tiny ranges are worth a pool task.
-
-   Candidates are drawn from adom^m, so their constants and nulls are
-   already the database's: the anchor set, the class list and the
-   class representatives are the same for every candidate and are
-   computed once, outside the sweep. Only the instantiated sentence
-   (and its compiled checker) is per-candidate. *)
-let filter_candidates ?jobs ?guard ?cache ~all inst q =
-  Obs.Trace.span "certain.sweep"
-    ~attrs:[ ("all", string_of_bool all); ("arity", string_of_int (Query.arity q)) ]
-  @@ fun () ->
+(* The class pass. Every candidate's sentence is decided on the same
+   class space, so the representatives are built once; each candidate
+   compiles its sentence once, inside the pool chunk that checks it,
+   and only if its scan checks a class. [need] says what each
+   candidate's scan must find out. Candidates are independent and
+   chunk results merge by set union, so the answers are the same for
+   any [jobs]. Besides the pool's guard call before
+   each chunk, a chunk polls [guard] every 256 classes it checks, as
+   the support census does: one candidate's scan can be long. *)
+let pass ?jobs ?guard ~db ~space ~need q cands =
   let m = Query.arity q in
-  let db = Support.kernel_db ?cache inst in
-  let split = Kernel.split db in
-  let anchor_set =
-    Support.anchor_set_sentences_split split [ q.Query.body ]
+  Obs.Trace.span "certain.sweep"
+    ~attrs:
+      [ ("arity", string_of_int m);
+        ("candidates", string_of_int (Array.length cands));
+        ("classes", string_of_int (List.length space.Support.classes))
+      ]
+  @@ fun () ->
+  let reps =
+    Array.of_list
+      (List.map
+         (Classes.representative ~anchor_set:space.Support.anchor_set)
+         space.Support.classes)
   in
-  let nulls =
-    List.sort_uniq Int.compare
-      (Split.nulls split @ Formula.nulls q.Query.body)
-  in
-  let representatives =
-    List.map
-      (Classes.representative ~anchor_set)
-      (Classes.enumerate ~anchor_set ~nulls)
-  in
-  let cands = Array.of_list (candidates inst m) in
+  let poll = Option.value guard ~default:ignore in
+  let empty = (Relation.empty m, Relation.empty m) in
   Exec.Pool.fold_range ?jobs ?guard ~min_work:4 ~n:(Array.length cands)
     ~chunk:(fun lo hi ->
-      let rel = ref (Relation.empty m) in
+      let checked = ref 0 in
+      let tick () =
+        incr checked;
+        if !checked land 255 = 0 then poll ()
+      in
+      let cert = ref (Relation.empty m) and poss = ref (Relation.empty m) in
       for i = lo to hi - 1 do
-        (* Every candidate has its own instantiated sentence, compiled
-           once, inside the chunk that checks it. *)
-        let chk = Support.checker db (Query.instantiate q cands.(i)) in
-        let keep =
-          if all then for_all_sc (Support.check chk) representatives
-          else exists_sc (Support.check chk) representatives
-        in
-        if keep then rel := Relation.add cands.(i) !rel
+        let t = cands.(i) in
+        let chk = lazy (Support.checker db (Query.instantiate q t)) in
+        let all, some = judge ~tick (need t) reps chk in
+        if all then cert := Relation.add t !cert;
+        if some then poss := Relation.add t !poss
       done;
-      !rel)
-    ~combine:Relation.union (Relation.empty m)
+      (!cert, !poss))
+    ~combine:(fun (c, p) (c', p') -> (Relation.union c c', Relation.union p p'))
+    empty
 
-let certain_answers_enumerated ?jobs ?guard ?cache inst q =
-  filter_candidates ?jobs ?guard ?cache ~all:true inst q
+(* Candidates are drawn from adom^m, so their constants and nulls are
+   already the database's: the class space of the query body is every
+   candidate's. *)
+let candidates inst q =
+  Array.of_list
+    (List.map Tuple.of_list
+       (Arith.Combinat.tuples (Relational.Instance.adom inst) (Query.arity q)))
+
+let query_pass ?jobs ?guard ?cache ~need inst q =
+  let db = Support.kernel_db ?cache inst in
+  pass ?jobs ?guard ~db ~space:(Support.space db [ q.Query.body ]) ~need q
+    (candidates inst q)
 
 (* Fragment dispatch (Corollary 3): for queries within Pos∀G naïve
-   evaluation computes certain answers, so the class enumeration is
-   unnecessary. Restricted to constant-free queries so that the naïve
-   evaluation domain (adom + query constants) coincides with the
-   candidate space adom^m of the enumeration path; queries with
-   constants keep the exact path. *)
+   evaluation computes certain answers, so no class decides certainty.
+   Restricted to constant-free queries so that the naïve evaluation
+   domain (adom + query constants) coincides with the candidate space
+   adom^m of the class pass. *)
+let naive_is_certain q =
+  Logic.Fragment.naive_eval_sound (Logic.Fragment.classify q.Query.body)
+  && Query.constants q = []
+
+let answers ?jobs ?guard ?cache inst q =
+  let naive = Naive.answers inst q in
+  let need =
+    if naive_is_certain q then fun t -> Possible_only (Relation.mem t naive)
+    else fun _ -> Both
+  in
+  let certain, possible = query_pass ?jobs ?guard ?cache ~need inst q in
+  { certain; possible; naive }
+
+let certain_answers_enumerated ?jobs ?guard ?cache inst q =
+  fst (query_pass ?jobs ?guard ?cache ~need:(fun _ -> Certain_only) inst q)
+
 let certain_answers ?jobs ?guard ?cache inst q =
-  if
-    Logic.Fragment.naive_eval_sound
-      (Logic.Fragment.classify q.Query.body)
-    && Query.constants q = []
-  then Naive.answers inst q
+  if naive_is_certain q then Naive.answers inst q
   else certain_answers_enumerated ?jobs ?guard ?cache inst q
 
 let certain_answers_null_free ?jobs ?guard ?cache inst q =
@@ -121,22 +135,26 @@ let certain_answers_null_free ?jobs ?guard ?cache inst q =
     (certain_answers ?jobs ?guard ?cache inst q)
 
 let possible_answers ?jobs ?guard ?cache inst q =
-  filter_candidates ?jobs ?guard ?cache ~all:false inst q
+  snd
+    (query_pass ?jobs ?guard ?cache ~need:(fun _ -> Possible_only false) inst q)
 
-let sentence_classes ?cache inst sentence =
+(* One candidate on its own class space: a tuple may carry constants
+   and nulls beyond the database's, and a sentence nulls of its own. *)
+let decide ?cache need inst q tuple =
   let db = Support.kernel_db ?cache inst in
-  let split = Kernel.split db in
-  let anchor_set = Support.anchor_set_sentences_split split [ sentence ] in
-  let nulls =
-    List.sort_uniq Int.compare (Split.nulls split @ Formula.nulls sentence)
-  in
-  let chk = Support.checker db sentence in
-  List.map
-    (fun c -> Support.check chk (Classes.representative ~anchor_set c))
-    (Classes.enumerate ~anchor_set ~nulls)
+  pass ~db
+    ~space:(Support.space db [ Query.instantiate q tuple ])
+    ~need:(fun _ -> need) q [| tuple |]
+
+let is_certain ?cache inst q tuple =
+  not (Relation.is_empty (fst (decide ?cache Certain_only inst q tuple)))
+
+let is_possible ?cache inst q tuple =
+  not
+    (Relation.is_empty (snd (decide ?cache (Possible_only false) inst q tuple)))
 
 let is_certain_sentence ?cache inst sentence =
-  List.for_all Fun.id (sentence_classes ?cache inst sentence)
+  is_certain ?cache inst (Query.boolean sentence) Tuple.empty
 
 let is_possible_sentence ?cache inst sentence =
-  List.exists Fun.id (sentence_classes ?cache inst sentence)
+  is_possible ?cache inst (Query.boolean sentence) Tuple.empty

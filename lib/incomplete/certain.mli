@@ -12,14 +12,37 @@
     cost in the number of nulls (coNP-hardness is Theorem 6's
     territory; no polynomial algorithm is expected).
 
-    The answer sweeps take [?jobs] to check candidate tuples on
-    parallel domains (each candidate is independent; chunk results are
-    merged by set union, so the answer set is identical for any
-    [jobs]), and [?cache] to share the kernel database (split +
-    indexes) through a {!Support.cache} with other calls on the same
-    instance.
-    [?guard] is called at candidate-chunk boundaries and cancels the
-    sweep by raising (the query service's deadline hook). *)
+    Both quantifiers run in one class pass ({!answers}): the classes
+    are enumerated once ({!Support.space}), each candidate tuple's
+    sentence is compiled once, and its scan stops as soon as the
+    verdicts asked for are known. Every other function here is a
+    projection of that pass.
+
+    The passes take [?jobs] to check candidate tuples on parallel
+    domains (each candidate is independent; chunk results are merged by
+    set union, so the answer sets are identical for any [jobs]), and
+    [?cache] to share the kernel database (split + indexes) through a
+    {!Support.cache} with other calls on the same instance. [?guard] is
+    called at candidate-chunk boundaries and every 256 classes a chunk
+    checks, and cancels the pass by raising (the query service's
+    deadline hook). *)
+
+type answers = {
+  certain : Relational.Relation.t;  (** [□(Q,D)] *)
+  possible : Relational.Relation.t;
+      (** the tuples over the active domain with [Supp(Q,D,ā) ≠ ∅] *)
+  naive : Relational.Relation.t;  (** {!Naive.answers} *)
+}
+
+val answers :
+  ?jobs:int ->
+  ?guard:(unit -> unit) ->
+  ?cache:Support.cache ->
+  Relational.Instance.t -> Logic.Query.t -> answers
+(** Certain, possible and naïve answers from one pass: the query is
+    evaluated naïvely once, and for constant-free Pos∀G queries those
+    answers are the certain ones (Corollary 3), so the class scan only
+    looks for possibility witnesses. *)
 
 val is_certain :
   ?cache:Support.cache ->
@@ -67,6 +90,8 @@ val possible_answers :
   ?guard:(unit -> unit) ->
   ?cache:Support.cache ->
   Relational.Instance.t -> Logic.Query.t -> Relational.Relation.t
+(** The [possible] field of {!answers}, by a scan that stops at each
+    candidate's first witness, without the naïve evaluation. *)
 
 val is_certain_sentence :
   ?cache:Support.cache -> Relational.Instance.t -> Logic.Formula.t -> bool

@@ -19,6 +19,21 @@ let anchor_set_sentences_split split sentences =
   List.sort_uniq Int.compare
     (Split.constants split @ List.concat_map Formula.constants sentences)
 
+type space = {
+  anchor_set : int list;
+  nulls : int list;
+  classes : Classes.t list;
+}
+
+let space db sentences =
+  let split = Kernel.split db in
+  let anchor_set = anchor_set_sentences_split split sentences in
+  let nulls =
+    List.sort_uniq Int.compare
+      (Split.nulls split @ List.concat_map Formula.nulls sentences)
+  in
+  { anchor_set; nulls; classes = Classes.enumerate ~anchor_set ~nulls }
+
 (* ------------------------------------------------------------------ *)
 (* Kernel-db cache                                                     *)
 (* ------------------------------------------------------------------ *)

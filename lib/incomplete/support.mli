@@ -58,6 +58,21 @@ val anchor_set_sentences_split : Split.t -> Logic.Formula.t list -> int list
     was built — for per-candidate loops that would otherwise re-fold
     the instance each time. *)
 
+(** {1 Class space} *)
+
+type space = {
+  anchor_set : int list;  (** [C ∪ Const(D)], sorted *)
+  nulls : int list;  (** the nulls of [D] and of the sentences, sorted *)
+  classes : Classes.t list;  (** {!Classes.enumerate} over both *)
+}
+
+val space : Kernel.db -> Logic.Formula.t list -> space
+(** The valuation classes that decide sentences evaluated on one
+    database: the anchor set of the database and the sentences, every
+    null either mentions, and the classes over them. Every class pass
+    (certain and possible answers, the support census, separation
+    witnesses) draws its classes here. *)
+
 (** {1 Kernel-db cache} *)
 
 type cache

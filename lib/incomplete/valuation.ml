@@ -18,7 +18,6 @@ let of_list pairs =
       else IMap.add n c m)
     IMap.empty pairs
 
-let of_fun nulls f = of_list (List.map (fun n -> (n, f n)) nulls)
 let bindings = IMap.bindings
 let find t n = IMap.find_opt n t
 

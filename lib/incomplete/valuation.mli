@@ -12,9 +12,6 @@ val of_list : (int * int) list -> t
 (** [(null id, constant code)] pairs.
     @raise Invalid_argument on duplicate null ids or codes [< 1]. *)
 
-val of_fun : int list -> (int -> int) -> t
-(** [of_fun nulls f] tabulates [f] on the given null ids. *)
-
 val bindings : t -> (int * int) list
 (** Sorted by null id. *)
 

@@ -206,13 +206,6 @@ let well_formed schema f =
 
 let equal (a : t) (b : t) = a = b
 
-let compare_term a b =
-  match (a, b) with
-  | Var x, Var y -> String.compare x y
-  | Val v, Val w -> Value.compare v w
-  | Var _, Val _ -> -1
-  | Val _, Var _ -> 1
-
 let pp_term fmt = function
   | Var x -> Format.pp_print_string fmt x
   | Val (Value.Const c) ->

@@ -81,7 +81,6 @@ val well_formed : Relational.Schema.t -> t -> (unit, string) result
     arity. *)
 
 val equal : t -> t -> bool
-val compare_term : term -> term -> int
 
 (** {1 Printing} *)
 

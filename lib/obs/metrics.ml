@@ -9,7 +9,6 @@
 let enabled = Atomic.make false
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
 
 type t = { cname : string; cell : int Atomic.t }
 

@@ -15,7 +15,6 @@
 
 val enable : unit -> unit
 val disable : unit -> unit
-val is_enabled : unit -> bool
 
 val reset : unit -> unit
 (** Zero every counter and drop every histogram. *)
@@ -47,9 +46,9 @@ val kernel_refreshes : t
     that took the naive path. *)
 
 val short_circuits : t
-(** Certainty/possibility class sweeps that stopped before exhausting
-    the class list (a refuting class for [∀], a witnessing one for
-    [∃]). *)
+(** Candidate class scans ([Incomplete.Certain]) that stopped before
+    exhausting the class list, once every verdict they were asked for
+    was known. *)
 
 val cache_hits : t
 val cache_misses : t

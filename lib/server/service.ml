@@ -155,11 +155,9 @@ let run_certain ~sessions ?jobs ?guard req =
   let* q = parse_query qs in
   let* () = well_formed entry.Session.schema q in
   let* () = precheck entry.Session.schema q in
-  let certain = Incomplete.Certain.certain_answers ?jobs ?guard ~cache inst q in
-  let possible =
-    Incomplete.Certain.possible_answers ?jobs ?guard ~cache inst q
+  let { Incomplete.Certain.certain; possible; naive } =
+    Incomplete.Certain.answers ?jobs ?guard ~cache inst q
   in
-  let naive = Incomplete.Naive.answers inst q in
   Ok
     [ ("certain", Wire.S (rel_string certain));
       ("certain_count", Wire.I (Relation.cardinal certain));

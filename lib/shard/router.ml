@@ -669,8 +669,6 @@ let run ?signals cfg =
 (* Introspection (tests, bench)                                        *)
 (* ------------------------------------------------------------------ *)
 
-let shard_names t = Array.map (fun sh -> sh.s_name) t.shards
-
 let live_shards t =
   let mask = live_mask t in
   Array.to_list t.shards

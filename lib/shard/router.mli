@@ -87,9 +87,6 @@ val run : ?signals:bool -> config -> unit
     For tests and the bench harness — which shard a session maps to
     right now, under the current membership. *)
 
-val shard_names : t -> string array
-(** Configured shard names (the address strings), in ring index order. *)
-
 val live_shards : t -> string list
 (** Names of the shards currently admitted. *)
 

@@ -391,6 +391,37 @@ let test_certain_vs_bruteforce () =
         (Certain.is_certain_sentence d sentence))
     queries
 
+exception Deadline
+
+let test_certain_guard_inside_scan () =
+  (* A Boolean query has one candidate, so the pool calls the guard
+     once, before its only chunk; the class scan must poll it too.
+     4 nulls and 3 constants give 372 classes, and the sentence holds on
+     every one, so the scan checks all of them unless cancelled. *)
+  let d =
+    Instance.of_rows (Schema.make [ ("R", 1) ])
+      [ ( "R",
+          List.map
+            (fun v -> [ v ])
+            [ Value.null 1; Value.null 2; Value.null 3; Value.null 4;
+              Value.named "ga"; Value.named "gb"; Value.named "gc" ] ) ]
+  in
+  let q = Parser.query_exn "Q() := exists x. R(x)" in
+  check int_t "classes" 372
+    (List.length
+       (Classes.enumerate ~anchor_set:(Support.anchor_set d q)
+          ~nulls:(Instance.nulls d)));
+  check relation_t "certain without a guard"
+    (Relation.of_list 0 [ Tuple.empty ])
+    (Certain.certain_answers_enumerated d q);
+  let calls = ref 0 in
+  let guard () =
+    incr calls;
+    if !calls >= 2 then raise Deadline
+  in
+  Alcotest.check_raises "cancelled mid-scan" Deadline (fun () ->
+      ignore (Certain.certain_answers_enumerated ~jobs:1 ~guard d q))
+
 let prop_naive_superset_certain =
   (* Corollary 1: □(Q,D) ⊆ Q^naive(D) for generic queries. Random small
      instances and a fixed family of queries. *)
@@ -515,8 +546,40 @@ let prop_bijective_count_matches_enumeration =
       in
       B.equal (B.of_int counted) (Enumerate.count_bijective ~nulls ~avoid ~k))
 
+(* Every candidate over adom^m, decided by brute force over the
+   valuations into {c1..ck}: certain iff every one puts v(ā) in
+   Q(v(D)), possible iff one does. With k = max anchor + |nulls| every
+   valuation class has a member in range, so this is the class
+   semantics. The query's own nulls are valued too. *)
+let brute_force_answers d q =
+  let nulls =
+    List.sort_uniq Int.compare (Instance.nulls d @ F.nulls q.Query.body)
+  in
+  let k = List.fold_left max 0 (Support.anchor_set d q) + List.length nulls in
+  let m = Query.arity q in
+  let cands =
+    Relation.of_list m
+      (List.map Tuple.of_list (Arith.Combinat.tuples (Instance.adom d) m))
+  in
+  Enumerate.fold_valuations ~nulls ~k
+    (fun (certain, possible) v ->
+      let qv =
+        Query.make q.Query.free (F.map_values (Valuation.value v) q.Query.body)
+      in
+      let answers = Naive.answers (Valuation.instance v d) qv in
+      let sat =
+        Relation.filter (fun t -> Relation.mem (Valuation.tuple v t) answers) cands
+      in
+      (Relation.inter certain sat, Relation.union possible sat))
+    (cands, Relation.empty m)
+
 let prop_possible_iff_some_valuation =
-  (* is_possible_sentence agrees with a bounded brute-force search. *)
+  (* The class pass agrees with a bounded brute-force search, on open
+     queries with negation, with constants inside and outside Const(D)
+     and with a null that D may lack; its naive component is
+     Naive.answers, and the certainty-only and possibility-only
+     projections agree with it. Constant-free positive queries take the
+     Pos∀G dispatch, the others scan for both verdicts. *)
   let schema = Schema.make [ ("R", 2) ] in
   let value_gen =
     QCheck.map
@@ -532,20 +595,31 @@ let prop_possible_iff_some_valuation =
       (QCheck.list_of_size (QCheck.Gen.int_range 0 3)
          (QCheck.pair value_gen value_gen))
   in
+  let queries =
+    List.map Parser.query_exn
+      [ "Q() := exists x. R(x, x)";
+        "Q() := forall x. forall y. R(x, y) -> R(y, x)";
+        "Q(x) := exists y. R(x, y)";
+        "Q(x) := exists y. R(x, y) & !R(y, x)";
+        "Q(x, y) := R(x, y) & !R(y, 'ip0') & x != y";
+        "Q(x) := R(x, 'ipz') | R(x, ~1) & !R(~1, x)"
+      ]
+  in
   QCheck.Test.make ~name:"possible = brute force over small range" ~count:60
     inst_gen (fun d ->
       List.for_all
-        (fun s ->
-          let f = Parser.formula_exn s in
-          let anchor = Support.anchor_set_sentences d [ f ] in
-          let k = List.fold_left max 0 anchor + Instance.null_count d in
-          let brute =
-            Enumerate.fold_valuations ~nulls:(Instance.nulls d) ~k
-              (fun acc v -> acc || Support.sentence_in_support d f v)
-              false
-          in
-          brute = Certain.is_possible_sentence d f)
-        [ "exists x. R(x, x)"; "forall x. forall y. R(x, y) -> R(y, x)" ])
+        (fun q ->
+          let a = Certain.answers d q in
+          let certain, possible = brute_force_answers d q in
+          Relation.equal a.Certain.certain certain
+          && Relation.equal a.Certain.possible possible
+          && Relation.equal a.Certain.naive (Naive.answers d q)
+          && Relation.equal (Certain.certain_answers_enumerated d q) certain
+          && Relation.equal (Certain.possible_answers d q) possible
+          && (Query.arity q > 0
+             || Certain.is_possible_sentence d q.Query.body
+                = not (Relation.is_empty possible)))
+        queries)
 
 let prop_posforallg_certain_is_naive =
   (* Corollary 3 (via Gheerbrant-Libkin-Sirangelo): for Pos∀G queries,
@@ -629,7 +703,9 @@ let () =
           Alcotest.test_case "identity query" `Quick test_certain_identity_query;
           Alcotest.test_case "sentences" `Quick test_certain_sentences;
           Alcotest.test_case "class-based = brute force" `Quick
-            test_certain_vs_bruteforce
+            test_certain_vs_bruteforce;
+          Alcotest.test_case "guard polled inside a class scan" `Quick
+            test_certain_guard_inside_scan
         ] );
       ( "edge-cases",
         [ Alcotest.test_case "complete database" `Quick

@@ -328,6 +328,7 @@ let test_certain_answers_parallel_agrees () =
   let d = intro_db () and q = intro_query () in
   let seq = Certain.certain_answers ~jobs:1 d q in
   let poss = Certain.possible_answers ~jobs:1 d q in
+  let naive = Incomplete.Naive.answers d q in
   List.iter
     (fun jobs ->
       let cache = Support.create_cache () in
@@ -338,7 +339,14 @@ let test_certain_answers_parallel_agrees () =
       check relation_t
         (Printf.sprintf "possible_answers jobs=%d" jobs)
         poss
-        (Certain.possible_answers ~jobs ~cache d q))
+        (Certain.possible_answers ~jobs ~cache d q);
+      let a = Certain.answers ~jobs ~cache d q in
+      check relation_t (Printf.sprintf "answers.certain jobs=%d" jobs) seq
+        a.Certain.certain;
+      check relation_t (Printf.sprintf "answers.possible jobs=%d" jobs) poss
+        a.Certain.possible;
+      check relation_t (Printf.sprintf "answers.naive jobs=%d" jobs) naive
+        a.Certain.naive)
     jobs_grid
 
 let test_section4_parallel_agrees () =
