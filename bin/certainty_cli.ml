@@ -253,9 +253,9 @@ let with_context schema db query f =
 (* The static-analysis gate of the evaluating subcommands: report
    errors and warnings (never hints) on stderr; under --strict, errors
    abort before any evaluation starts. Returns the report, whose
-   decomposition certificate (taken at [decomp_k]) measure reuses. *)
-let precheck ?deps ?tuple ?decomp_k ~strict schema inst q =
-  let report = Analysis.Report.analyze ~inst ?deps ?tuple ?decomp_k schema q in
+   decomposition certificate (taken at [k]) measure reuses. *)
+let precheck ?deps ?tuple ?k ~strict schema inst q =
+  let report = Analysis.Report.analyze ~inst ?deps ?tuple ?k schema q in
   let visible =
     List.filter
       (fun d -> d.Analysis.Diag.severity <> Analysis.Diag.Hint)
@@ -368,11 +368,9 @@ let measure_cmd =
         let ks = parse_ks inst ks in
         let tuple = answer_tuple q tuple in
         (* One decomposition certificate, at the series' largest k, for
-           the precheck and the decomposition line alike; the cost
-           figures keep their content-determined k. *)
+           the precheck and the decomposition line alike. *)
         let report =
-          precheck ~tuple ~decomp_k:(List.fold_left max 1 ks) ~strict sch
-            inst q
+          precheck ~tuple ~k:(List.fold_left max 1 ks) ~strict sch inst q
         in
         let route =
           Pipeline.route_of_certificates
@@ -741,7 +739,8 @@ let datalog_cmd =
 let analyze_cmd =
   let db_opt_arg =
     let doc =
-      "Database instance (optional): enables the k^m cost analysis."
+      "Database instance (optional): enables the decomposition \
+       certificate (with --tuple, or for a Boolean query)."
     in
     Arg.(value & opt (some string) None & info [ "d"; "db" ] ~docv:"DB" ~doc)
   in
@@ -755,8 +754,8 @@ let analyze_cmd =
   in
   let k_arg =
     let doc =
-      "Domain size k for the concrete cost bound (default: the largest k of \
-       the µ^k series, max-constant + 16)."
+      "Domain size k at which the decomposition certificate quotes its part \
+       sizes (default: the number of database constants + 16)."
     in
     Arg.(value & opt (some int) None & info [ "domain-size" ] ~docv:"K" ~doc)
   in
@@ -775,7 +774,7 @@ let analyze_cmd =
     "Statically analyze a query (and optionally constraints) without \
      evaluating anything: tightest fragment (CQ/UCQ/Pos∀G/FO), \
      safety/range-restriction and genericity checks, schema conformance, \
-     constraint class, the k^m valuation-space cost bound, and the \
+     constraint class, the null-decomposition certificate, and the \
      paper-backed dispatch consequences — with stable diagnostic codes, as \
      text or JSON. With --strict, exit nonzero when errors are found (the \
      CI lint gate)."

@@ -3,10 +3,8 @@
    facts programmatically.
 
    The measures of the paper are built on genericity (Theorem 1 needs
-   it), and the brute-force kernels visit k^m valuations. Both failure
-   modes — a query that silently mentions a constant, and a database
-   with too many nulls — are static properties, so we can refuse (or
-   reroute) before evaluating anything.
+   it). A query that silently mentions a constant is a static
+   property, so we can refuse it before evaluating anything.
 
    Run with:  dune exec examples/static_analysis.exe *)
 
@@ -60,20 +58,18 @@ let () =
         (Relational.Relation.cardinal certain)
         (Relational.Relation.cardinal naive));
 
-  (* The cost analysis is a plain record: use it to pick between the
-     enumerating and symbolic paths in your own code. *)
-  let r = Report.analyze ~inst:db schema good in
-  (match r.Report.cost with
-  | None -> ()
-  | Some c ->
-      Printf.printf
-        "valuation space: %d null(s), |V^k| = %s at k = %d — %s\n"
-        c.Analysis.Cost.nulls
-        (Arith.Bigint.to_string c.Analysis.Cost.space)
-        c.Analysis.Cost.k
-        (match c.Analysis.Cost.machine with
-        | Some _ -> "enumerable"
-        | None -> "overflow: symbolic path only"));
+  (* What an exact measure costs: Theorem 1 puts every valuation of a
+     class on the same side of a generic sentence, so one pass over the
+     valuation classes answers µ^k at every k — their number, not k^m,
+     sets the work. *)
+  let space =
+    Incomplete.Support.space
+      (Incomplete.Support.kernel_db db)
+      [ good.Logic.Query.body ]
+  in
+  Printf.printf "valuation classes: %d over %d null(s), at every k\n"
+    (List.length space.Incomplete.Support.classes)
+    (List.length space.Incomplete.Support.nulls);
 
   (* ---------------------------------------------------------------- *)
   (* Decomposition: when the support sentence splits into independent  *)

@@ -3,8 +3,6 @@ module Instance = Relational.Instance
 module Relation = Relational.Relation
 module Factor = Incomplete.Factor
 module Split = Incomplete.Split
-module Enumerate = Incomplete.Enumerate
-module B = Arith.Bigint
 
 type verdict =
   | Decomposable
@@ -17,11 +15,12 @@ type t = {
   free_nulls : int list;
   all_nulls : int list;
   k : int;
-  spaces : B.t list;  (** per component, k^mᵢ *)
-  machines : int option list;
 }
 
-let default_k inst = Instance.max_constant inst + 16
+(* Content-determined, like every field of the certificate: intern
+   codes follow process arrival order, so a max-code default would let
+   the same request report a different k after other sessions. *)
+let default_k inst = Instance.constant_count inst + 16
 
 (* A quantified component must evaluate over a provably nonempty
    domain: its restricted base constants, its formula constants, or a
@@ -52,18 +51,7 @@ let analyze ?k ?(extra_nulls = []) inst sentence =
     | Indecomposable _ -> Obs.Metrics.incr Obs.Metrics.decomp_indecomposable
     | Decomposable | Trivial ->
         Obs.Metrics.add Obs.Metrics.decomp_components (List.length components));
-    { verdict;
-      components;
-      free_nulls;
-      all_nulls;
-      k;
-      spaces = List.map (fun c -> Factor.component_space c ~k) components;
-      machines =
-        List.map
-          (fun (c : Factor.component) ->
-            Enumerate.space_size ~nulls:c.Factor.c_nulls ~k)
-          components
-    }
+    { verdict; components; free_nulls; all_nulls; k }
   in
   if not (Formula.is_sentence sentence) then
     finish (Indecomposable "open formula: free variables left") [] []
@@ -134,78 +122,43 @@ let sizes_string cert =
 (* ------------------------------------------------------------------ *)
 
 let diagnostics cert =
+  let m = List.length cert.all_nulls in
   match cert.verdict with
   | Indecomposable reason ->
       [ Diag.hint ~code:"ANL402" ~loc:"decomp"
           (Printf.sprintf
-             "support sentence does not decompose: %s — the monolithic k^%d \
-              sweep stands"
-             reason
-             (List.length cert.all_nulls))
+             "support sentence does not decompose: %s — one part spans all \
+              %d nulls"
+             reason m)
       ]
   | Trivial ->
       [ Diag.hint ~code:"ANL402" ~loc:"decomp"
           (Printf.sprintf
              "no decomposition win: a single interaction component spans all \
               %d nulls"
-             (List.length cert.all_nulls))
+             m)
       ]
   | Decomposable ->
-      let m = List.length cert.all_nulls in
-      let overflowing =
-        List.filteri
-          (fun _ (machine : int option) -> machine = None)
-          cert.machines
-      in
-      Diag.hint ~code:"ANL401" ~loc:"decomp"
-        ~hint:
-          "factorized evaluation multiplies exact per-component measures — \
-           bit-identical to the monolithic sweep at a fraction of the cost"
-        (Printf.sprintf
-           "support sentence decomposes into %d independent part%s: k^%d \
-            collapses to %s"
-           (parts cert)
-           (if parts cert = 1 then "" else "s")
-           m (sizes_string cert))
-      ::
-      (if overflowing = [] then []
-       else
-         List.concat
-           (List.mapi
-              (fun i (machine, (c : Factor.component)) ->
-                if machine <> None then []
-                else
-                  [ Diag.warning ~code:"ANL403" ~loc:"decomp"
-                      ~hint:
-                        "the exact µ^k series is read off the class census \
-                         at any k; --approx samples the whole valuation \
-                         space, one null at a time past the frontier"
-                      (Printf.sprintf
-                         "component %d (%d nulls over %s) still exceeds the \
-                          machine-integer frontier at k = %d: no sweep \
-                          enumerates it"
-                         (i + 1)
-                         (List.length c.Factor.c_nulls)
-                         (String.concat ", " c.Factor.c_relations)
-                         cert.k)
-                  ])
-              (List.combine cert.machines cert.components)))
+      [ Diag.hint ~code:"ANL401" ~loc:"decomp"
+          ~hint:
+            "µ^k is the product of the parts' exact measures, since \
+             valuations assign the nulls of different parts independently"
+          (Printf.sprintf
+             "support sentence decomposes into %d independent part%s over \
+              its %d nulls: %s"
+             (parts cert)
+             (if parts cert = 1 then "" else "s")
+             m (sizes_string cert))
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let to_json cert =
-  let component_json ((c : Factor.component), (space, machine)) =
-    Printf.sprintf
-      "{\"nulls\": %d, \"space\": %s, \"overflow\": %b%s, \"relations\": \
-       [%s], \"conjuncts\": %d}"
+  let component_json (c : Factor.component) =
+    Printf.sprintf "{\"nulls\": %d, \"relations\": [%s], \"conjuncts\": %d}"
       (List.length c.Factor.c_nulls)
-      (Diag.json_string (B.to_string space))
-      (machine = None)
-      (match machine with
-      | None -> ""
-      | Some n -> Printf.sprintf ", \"machine\": %d" n)
       (String.concat ", " (List.map Diag.json_string c.Factor.c_relations))
       c.Factor.c_conjuncts
   in
@@ -219,11 +172,7 @@ let to_json cert =
         ("parts", string_of_int (parts cert));
         ("free_nulls", string_of_int (List.length cert.free_nulls));
         ( "components",
-          "["
-          ^ String.concat ", "
-              (List.map component_json
-                 (List.combine cert.components
-                    (List.combine cert.spaces cert.machines)))
+          "[" ^ String.concat ", " (List.map component_json cert.components)
           ^ "]" )
       ]
   in

@@ -4,17 +4,13 @@
     [analyze] builds the interaction graph ({!Depgraph}) of a support
     sentence over a database, proves (or refuses to prove) that the
     sentence factorizes over the graph's connected components, and
-    packages the result as a certificate: per-component null sets,
-    exact [Bigint] space sizes, and stable diagnostics —
+    packages the result as a certificate: per-component null sets and
+    stable diagnostics —
 
-    - [ANL401] (hint): decomposable, with the component sizes and the
-      collapsed cost [Σᵢ k^{mᵢ}];
+    - [ANL401] (hint): decomposable, with the component sizes;
     - [ANL402] (hint): no decomposition — a single component spans
       every null, or a conjunct fails the {!Incomplete.Factor.dsafe}
-      guardedness check;
-    - [ANL403] (warning): a component exceeds the machine-integer
-      frontier even after decomposition — no sweep enumerates it (the
-      class census still counts it exactly).
+      guardedness check.
 
     A [Decomposable] or [Trivial] certificate converts to the
     {!Incomplete.Factor.plan} the factorized evaluators run on; the
@@ -32,11 +28,7 @@ type t = {
   components : Incomplete.Factor.component list;
   free_nulls : int list;
   all_nulls : int list;
-  k : int;  (** sampled domain size the space bounds are quoted at *)
-  spaces : Arith.Bigint.t list;  (** per component, [k^mᵢ], exact *)
-  machines : int option list;
-      (** per component, [k^mᵢ] as machine int; [None] = over the
-          machine-integer frontier *)
+  k : int;  (** the domain size {!sizes_string} quotes *)
 }
 
 val analyze :
@@ -45,8 +37,8 @@ val analyze :
   Relational.Instance.t ->
   Logic.Formula.t ->
   t
-(** [k] defaults to [Instance.max_constant + 16] (as {!Cost.analyse});
-    [extra_nulls] adds sweep nulls not occurring in the database (a
+(** [k] defaults to [Instance.constant_count + 16], a function of the
+    database's content alone; [extra_nulls] adds sweep nulls not occurring in the database (a
     candidate tuple's nulls). Emits the [analysis.decomp] trace span
     and bumps the [decomp_*] metrics. *)
 
@@ -56,7 +48,8 @@ val plan : t -> Incomplete.Factor.plan option
 val parts : t -> int
 val verdict_string : verdict -> string
 val sizes_string : t -> string
-(** ["8^3 + 8^3"] — the collapsed cost, human form. *)
+(** ["8^3 + 8^3"] — each part's valuation space at [k], free block
+    last. *)
 
 val diagnostics : t -> Diag.t list
 val to_json : t -> string

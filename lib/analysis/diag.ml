@@ -45,8 +45,6 @@ let registry =
     ("ANL101", Warning, "unused quantified variable");
     ("ANL102", Warning, "trivially true/false subformula");
     ("ANL103", Warning, "implication query: degenerate measure (Prop 3); prefer µ(Q|Σ)");
-    ("ANL201", Warning, "valuation space k^m overflows machine integers");
-    ("ANL202", Hint, "large valuation space: use --jobs or the symbolic path");
     ("ANL301", Hint, "fragment ⊆ Pos∀G: naive evaluation computes certain answers (Cor 3)");
     ("ANL302", Hint, "fragment ⊆ UCQ: polynomial-time comparisons and best answers (Thm 8)");
     ("ANL303", Hint, "FD-only constraints: chase shortcut applies (Thm 5)");
@@ -54,9 +52,8 @@ let registry =
     ("ANL305", Hint, "constraint set needs the generic exponential procedures");
     ("ANL306", Hint, "weakly acyclic dependencies: chase terminates on every instance");
     ("ANL307", Warning, "special-edge cycle: chase termination not guaranteed, bounded run only");
-    ("ANL401", Hint, "support sentence decomposes: factorized evaluation collapses k^m to sum of k^m_i");
-    ("ANL402", Hint, "support sentence does not decompose (single component or unguarded quantifier)");
-    ("ANL403", Warning, "a component exceeds the machine-integer frontier even after decomposition: no sweep enumerates it")
+    ("ANL401", Hint, "support sentence decomposes: µ^k is the product of independent parts' measures");
+    ("ANL402", Hint, "support sentence does not decompose (single component or unguarded quantifier)")
   ]
 
 (* ------------------------------------------------------------------ *)

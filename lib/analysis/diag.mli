@@ -24,20 +24,11 @@
     - [ANL103] — implication query: [µ(Σ → Q)] degenerates to 1
       whenever [µ(Σ) = 0] (Proposition 3); prefer the conditional
       measure.
-    - [ANL201] — valuation space [k^m] overflows machine integers
-      even after decomposition (the largest component's space is
-      quoted when a decomposition certificate is available);
-      exhaustive enumeration is hopeless.
     - [ANL307] — the dependency set has a cycle through a special
       edge of the position graph: the chase may not terminate; only
       bounded runs are available.
-    - [ANL403] — a component of the decomposition still exceeds the
-      exact enumeration frontier; route that component alone to
-      [--approx] (the estimator samples it and keeps the rest exact).
 
     Hints (dispatch consequences; never gate):
-    - [ANL202] — valuation space is large; recommend [--jobs] or the
-      symbolic support-polynomial path.
     - [ANL301] — fragment within Pos∀G: naïve evaluation computes
       certain answers (Corollary 3).
     - [ANL302] — fragment within UCQ: polynomial-time comparisons and
@@ -52,10 +43,15 @@
       cycle in the position graph): the chase terminates on every
       instance — a static termination certificate, no step budget.
     - [ANL401] — the support sentence decomposes into independent
-      components: factorized evaluation collapses the [k^m] sweep to
-      [Σᵢ k^{mᵢ}], bit-identical to the monolithic path.
+      components: [µ^k] is the product of their measures.
     - [ANL402] — no decomposition: a single interaction component
-      spans every null, or a conjunct fails the guardedness check. *)
+      spans every null, or a conjunct fails the guardedness check.
+
+    Retired: [ANL201] and [ANL202] (the [k^m] valuation-space cost
+    bound) and [ANL403] (a decomposition component past the
+    machine-integer frontier). Every exact measure is read off a class
+    census whose cost is set by the number of valuation classes, not
+    by [k^m], so nothing they described limits a request. *)
 
 type severity = Error | Warning | Hint
 

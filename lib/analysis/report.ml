@@ -1,6 +1,5 @@
 module Fragment = Logic.Fragment
 module Query = Logic.Query
-module B = Arith.Bigint
 
 type t = {
   query : Query.t;
@@ -8,7 +7,6 @@ type t = {
   safe : bool;
   generic : bool;
   cclass : Classify.constraint_class option;
-  cost : Cost.t option;
   decomp : Decomp.t option;
   wacyclic : Constraints.Wacyclic.t option;
   diags : Diag.t list;
@@ -23,9 +21,7 @@ let has_tgds deps =
       | Constraints.Dependency.Fd _ | Constraints.Dependency.Key _ -> false)
     deps
 
-let analyze ?inst ?deps ?tuple ?k ?decomp_k schema q =
-  let cost = Option.map (fun inst -> Cost.analyse ?k ?tuple inst) inst in
-  let k = match decomp_k with None -> k | Some _ -> decomp_k in
+let analyze ?inst ?deps ?tuple ?k schema q =
   (* The decomposition certificate needs a concrete support sentence:
      the query instantiated on the candidate tuple (or closed already
      for Boolean queries). *)
@@ -52,15 +48,11 @@ let analyze ?inst ?deps ?tuple ?k ?decomp_k schema q =
     safe = Safety.is_safe q;
     generic = Query.constants q = [];
     cclass = Option.map Classify.constraint_class deps;
-    cost;
     decomp;
     wacyclic;
     diags = Safety.check_query schema q;
     hints =
       Classify.dispatch_hints ?deps ~schema q
-      @ (match cost with
-        | None -> []
-        | Some c -> Cost.diagnostics ?certificate:decomp c)
       @ (match decomp with None -> [] | Some d -> Decomp.diagnostics d)
   }
 
@@ -86,15 +78,6 @@ let to_text r =
         (if c.Classify.n_constraints = 1 then "y" else "ies")
         (yesno c.Classify.fd_only)
         (yesno c.Classify.unary_keys_fks));
-  (match r.cost with
-  | None -> ()
-  | Some c ->
-      line "cost:        |V^k| = k^%d; at k = %d: %s valuation%s%s"
-        c.Cost.nulls c.Cost.k (B.to_string c.Cost.space)
-        (if B.equal c.Cost.space B.one then "" else "s")
-        (match c.Cost.machine with
-        | None -> " (overflows machine integers)"
-        | Some _ -> ""));
   (match r.decomp with
   | None -> ()
   | Some d ->
@@ -153,9 +136,6 @@ let to_json r =
                 c.Classify.n_constraints c.Classify.fd_only
                 c.Classify.unary_keys_fks )
           ])
-    @ (match r.cost with
-      | None -> []
-      | Some c -> [ ("cost", Cost.to_json c) ])
     @ (match r.decomp with
       | None -> []
       | Some d -> [ ("decomp", Decomp.to_json d) ])

@@ -10,7 +10,6 @@ type t = {
   safe : bool;
   generic : bool;
   cclass : Classify.constraint_class option;  (** when constraints given *)
-  cost : Cost.t option;  (** when a database is given *)
   decomp : Decomp.t option;
       (** decomposition certificate — when a database is given and the
           support sentence is closed (a candidate tuple, or arity 0) *)
@@ -18,7 +17,7 @@ type t = {
       (** chase-termination certificate — when the constraint set has
           tuple-generating dependencies *)
   diags : Diag.t list;  (** checks: errors and warnings *)
-  hints : Diag.t list;  (** dispatch consequences and cost hints *)
+  hints : Diag.t list;  (** dispatch consequences and the certificate's *)
 }
 
 val analyze :
@@ -26,13 +25,11 @@ val analyze :
   ?deps:Constraints.Dependency.t list ->
   ?tuple:Relational.Tuple.t ->
   ?k:int ->
-  ?decomp_k:int ->
   Relational.Schema.t ->
   Logic.Query.t ->
   t
-(** [k] is the domain size the cost bound is quoted at; [decomp_k]
-    (default [k]) the one of the decomposition certificate, for a
-    caller that reuses the certificate at its own [k]. *)
+(** [k] is the domain size the decomposition certificate quotes its
+    part sizes at ({!Decomp.analyze}'s default when absent). *)
 
 val has_errors : t -> bool
 
@@ -40,7 +37,7 @@ val all_diags : t -> Diag.t list
 (** Checks and hints together, sorted. *)
 
 val to_text : t -> string
-(** The human-facing report (fragment, check results, cost bound,
+(** The human-facing report (fragment, check results, decomposition,
     diagnostics, dispatch). *)
 
 val to_json : t -> string

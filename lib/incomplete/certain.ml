@@ -99,10 +99,13 @@ let candidates inst q =
     (List.map Tuple.of_list
        (Arith.Combinat.tuples (Relational.Instance.adom inst) (Query.arity q)))
 
-let query_pass ?jobs ?guard ?cache ~need inst q =
+let query_space ?cache inst q =
   let db = Support.kernel_db ?cache inst in
-  pass ?jobs ?guard ~db ~space:(Support.space db [ q.Query.body ]) ~need q
-    (candidates inst q)
+  (db, Support.space db [ q.Query.body ])
+
+let query_pass ?jobs ?guard ?cache ~need inst q =
+  let db, space = query_space ?cache inst q in
+  pass ?jobs ?guard ~db ~space ~need q (candidates inst q)
 
 (* Fragment dispatch (Corollary 3): for queries within Pos∀G naïve
    evaluation computes certain answers, so no class decides certainty.
@@ -113,14 +116,23 @@ let naive_is_certain q =
   Logic.Fragment.naive_eval_sound (Logic.Fragment.classify q.Query.body)
   && Query.constants q = []
 
+(* Without nulls the one class is the empty valuation, under which
+   the database is itself: a candidate is certain, possible and a
+   naive answer alike, and naive answer variables range over adom, as
+   the candidates do. *)
 let answers ?jobs ?guard ?cache inst q =
   let naive = Naive.answers inst q in
-  let need =
-    if naive_is_certain q then fun t -> Possible_only (Relation.mem t naive)
-    else fun _ -> Both
-  in
-  let certain, possible = query_pass ?jobs ?guard ?cache ~need inst q in
-  { certain; possible; naive }
+  let db, space = query_space ?cache inst q in
+  if space.Support.nulls = [] then { certain = naive; possible = naive; naive }
+  else
+    let need =
+      if naive_is_certain q then fun t -> Possible_only (Relation.mem t naive)
+      else fun _ -> Both
+    in
+    let certain, possible =
+      pass ?jobs ?guard ~db ~space ~need q (candidates inst q)
+    in
+    { certain; possible; naive }
 
 let certain_answers_enumerated ?jobs ?guard ?cache inst q =
   fst (query_pass ?jobs ?guard ?cache ~need:(fun _ -> Certain_only) inst q)

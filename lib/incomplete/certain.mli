@@ -42,7 +42,9 @@ val answers :
 (** Certain, possible and naïve answers from one pass: the query is
     evaluated naïvely once, and for constant-free Pos∀G queries those
     answers are the certain ones (Corollary 3), so the class scan only
-    looks for possibility witnesses. *)
+    looks for possibility witnesses. When neither the database nor the
+    query has a null, all three are the naïve answers and no class is
+    checked. *)
 
 val is_certain :
   ?cache:Support.cache ->

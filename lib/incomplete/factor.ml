@@ -2,7 +2,6 @@ module Instance = Relational.Instance
 module Relation = Relational.Relation
 module Schema = Relational.Schema
 module Formula = Logic.Formula
-module B = Arith.Bigint
 
 type component = {
   c_nulls : int list;
@@ -19,8 +18,6 @@ type plan = {
 
 let parts plan =
   List.length plan.components + if plan.free_nulls = [] then 0 else 1
-
-let component_space c ~k = Enumerate.count ~nulls:c.c_nulls ~k
 
 let whole inst sentence ~nulls =
   { components =

@@ -37,9 +37,6 @@ val parts : plan -> int
 (** Components plus one for a nonempty free block — [≥ 2] is a real
     decomposition. *)
 
-val component_space : component -> k:int -> Arith.Bigint.t
-(** [k^{mᵢ}], exact. *)
-
 val whole :
   Relational.Instance.t -> Logic.Formula.t -> nulls:int list -> plan
 (** The one-component plan: [sentence] swept over all of [nulls] on the

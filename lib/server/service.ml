@@ -114,8 +114,8 @@ let series_fields ~census inst target req =
    analysis errors: there is no terminal to warn on, and a typed
    response with the stable codes is more useful to a remote caller
    than a half-run evaluation. Only the query checks (ANL001–003) are
-   errors, so the gate runs those alone: the cost, decomposition and
-   dispatch hints of a full report could only warn. *)
+   errors, so the gate runs those alone: the decomposition and dispatch
+   hints of a full report could only warn. *)
 let precheck schema q =
   match
     Analysis.Safety.check_query schema q

@@ -1,7 +1,7 @@
 (* Tests for the static-analysis subsystem (lib/analysis): the
    diagnostics engine, the safety/genericity/schema checks (one
    positive and one clean case per code), the fragment classifier and
-   its dispatch hints, the valuation-space cost analysis, and the
+   its dispatch hints, the aggregate report, and the
    classifier-driven fast paths of [Incomplete.Certain] and
    [Zeroone.Conditional]. *)
 
@@ -19,7 +19,6 @@ module Conditional = Zeroone.Conditional
 module Diag = Analysis.Diag
 module Safety = Analysis.Safety
 module Classify = Analysis.Classify
-module Cost = Analysis.Cost
 module Report = Analysis.Report
 module R = Arith.Rat
 
@@ -63,9 +62,9 @@ let test_diag_registry () =
   (* Every code the checks can emit is registered exactly once, with
      the severity the constructors use. *)
   let expected =
-    [ "ANL001"; "ANL002"; "ANL003"; "ANL101"; "ANL102"; "ANL103"; "ANL201";
-      "ANL202"; "ANL301"; "ANL302"; "ANL303"; "ANL304"; "ANL305"; "ANL306";
-      "ANL307"; "ANL401"; "ANL402"; "ANL403" ]
+    [ "ANL001"; "ANL002"; "ANL003"; "ANL101"; "ANL102"; "ANL103"; "ANL301";
+      "ANL302"; "ANL303"; "ANL304"; "ANL305"; "ANL306"; "ANL307"; "ANL401";
+      "ANL402" ]
   in
   check int_t "registry size" (List.length expected) (List.length Diag.registry);
   List.iter
@@ -78,12 +77,11 @@ let test_diag_registry () =
     s
   in
   check bool_t "ANL001 is error" true (sev "ANL001" = Diag.Error);
-  check bool_t "ANL201 is warning" true (sev "ANL201" = Diag.Warning);
   check bool_t "ANL305 is hint" true (sev "ANL305" = Diag.Hint);
   check bool_t "ANL306 is hint" true (sev "ANL306" = Diag.Hint);
   check bool_t "ANL307 is warning" true (sev "ANL307" = Diag.Warning);
   check bool_t "ANL401 is hint" true (sev "ANL401" = Diag.Hint);
-  check bool_t "ANL403 is warning" true (sev "ANL403" = Diag.Warning)
+  check bool_t "ANL402 is hint" true (sev "ANL402" = Diag.Hint)
 
 let test_diag_json () =
   let d =
@@ -234,42 +232,6 @@ let test_dispatch_hints () =
        (Classify.dispatch_hints ~deps:[ Dependency.ind "R" [ 0 ] "S" [ 0 ] ] cq))
 
 (* ------------------------------------------------------------------ *)
-(* Cost analysis                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let nulls_instance m =
-  (* S(1) filled with m distinct nulls. *)
-  Instance.of_rows (Schema.make [ ("S", 1) ])
-    [ ("S", List.init m (fun i -> [ Value.null i ])) ]
-
-let test_cost_small () =
-  let c = Cost.analyse ~k:5 (nulls_instance 2) in
-  check int_t "nulls" 2 c.Cost.nulls;
-  check int_t "k" 5 c.Cost.k;
-  check bool_t "machine value" true (c.Cost.machine = Some 25);
-  check int_t "no diagnostics" 0 (List.length (Cost.diagnostics c))
-
-let test_cost_large () =
-  (* 16^8 ≈ 4.3e9 fits a 63-bit int but exceeds the 10^6 hint
-     threshold: ANL202, not ANL201. *)
-  let c = Cost.analyse ~k:16 (nulls_instance 8) in
-  check bool_t "machine representable" true (c.Cost.machine <> None);
-  check string_t "large-space hint" "ANL202" (String.concat "," (codes (Cost.diagnostics c)))
-
-let test_cost_overflow () =
-  (* 16^70 overflows any machine int: exhaustive enumeration is
-     hopeless and ANL201 fires. *)
-  let c = Cost.analyse ~k:16 (nulls_instance 70) in
-  check bool_t "overflow detected" true (c.Cost.machine = None);
-  check string_t "overflow warning" "ANL201"
-    (String.concat "," (codes (Cost.diagnostics c)));
-  (* The tuple's nulls count toward m. *)
-  let c' =
-    Cost.analyse ~k:5 ~tuple:(Tuple.of_list [ Value.null 100 ]) (nulls_instance 2)
-  in
-  check int_t "tuple nulls counted" 3 c'.Cost.nulls
-
-(* ------------------------------------------------------------------ *)
 (* Aggregate report                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -290,7 +252,8 @@ let test_report () =
   check bool_t "generic" true r.Report.generic;
   check bool_t "fragment is CQ" true (r.Report.fragment = Fragment.Cq);
   check bool_t "constraint class present" true (r.Report.cclass <> None);
-  check bool_t "cost present" true (r.Report.cost <> None);
+  check bool_t "no certificate for an open query without a tuple" true
+    (r.Report.decomp = None);
   let text = Report.to_text r in
   check bool_t "text names fragment" true (contains "CQ" text);
   check bool_t "text has verdict" true (contains "verdict" text);
@@ -377,11 +340,6 @@ let () =
         [ Alcotest.test_case "fragment" `Quick test_classify_fragment;
           Alcotest.test_case "constraint class" `Quick test_constraint_class;
           Alcotest.test_case "dispatch hints" `Quick test_dispatch_hints
-        ] );
-      ( "cost",
-        [ Alcotest.test_case "small" `Quick test_cost_small;
-          Alcotest.test_case "large" `Quick test_cost_large;
-          Alcotest.test_case "overflow" `Quick test_cost_overflow
         ] );
       ( "report", [ Alcotest.test_case "aggregate" `Quick test_report ] );
       ( "dispatch",

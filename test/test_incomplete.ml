@@ -517,6 +517,32 @@ let test_complete_database_degenerate () =
   check int_t "single class" 1
     (List.length (Classes.enumerate ~anchor_set:[ 1; 2 ] ~nulls:[]))
 
+(* A complete database has one valuation class, the empty valuation:
+   the certain, possible and naive answers coincide and no class is
+   checked. *)
+let test_null_free_certain_checks_no_class () =
+  let schema = Parser.schema_exn "R(a, b); S(a, b)" in
+  let row i = Printf.sprintf "('c%d', 'v%d')" i i in
+  let d =
+    Parser.instance_exn schema
+      (Printf.sprintf "R = { %s }; S = { %s }"
+         (String.concat ", " (List.init 31 row))
+         (row 1))
+  in
+  let q = Parser.query_exn "Q(x, y) := S(x, y) & !R(x, y)" in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.disable ();
+      Obs.Metrics.reset ())
+    (fun () ->
+      let a = Certain.answers ~jobs:1 d q in
+      check int_t "valuations evaluated" 0
+        (Obs.Metrics.value Obs.Metrics.valuations_evaluated);
+      check relation_t "certain = naive" a.Certain.naive a.Certain.certain;
+      check relation_t "possible = naive" a.Certain.naive a.Certain.possible)
+
 let test_valuation_printing () =
   let a = Relational.Names.intern "pv" in
   let v = Valuation.of_list [ (3, a) ] in
@@ -665,6 +691,50 @@ let prop_posforallg_certain_is_naive =
             (Naive.answers d q))
         queries)
 
+let prop_null_free_answers_are_naive =
+  (* Without nulls, [answers] returns the naive answers three times;
+     the class pass, run unconditionally, must agree. The queries cover
+     negation, both quantifiers, a constant of the database, one that
+     is not, and a Boolean query. *)
+  let schema = Schema.make [ ("R", 2); ("S", 2) ] in
+  let value_gen =
+    QCheck.map
+      (fun i -> Value.named ("nf" ^ string_of_int i))
+      (QCheck.int_range 0 3)
+  in
+  let rows n =
+    QCheck.list_of_size (QCheck.Gen.int_range 0 n)
+      (QCheck.pair value_gen value_gen)
+  in
+  let inst_gen =
+    QCheck.map
+      (fun (r_rows, s_rows) ->
+        Instance.of_rows schema
+          [ ("R", List.map (fun (a, b) -> [ a; b ]) r_rows);
+            ("S", List.map (fun (a, b) -> [ a; b ]) s_rows)
+          ])
+      (QCheck.pair (rows 4) (rows 3))
+  in
+  let queries =
+    [ Parser.query_exn "Q(x, y) := S(x, y) & !R(x, y)";
+      Parser.query_exn "Q(x) := exists y. R(x, y) | S(y, x)";
+      Parser.query_exn "Q(x) := forall y. S(x, y) -> R(x, y)";
+      Parser.query_exn "Q(x) := R(x, 'nf1') & !S(x, x)";
+      Parser.query_exn "Q(x) := exists y. R(x, y) & !R(y, 'nfz')";
+      Parser.query_exn "Q() := exists x. exists y. R(x, y) & !S(y, x)"
+    ]
+  in
+  QCheck.Test.make ~name:"null-free: certain = possible = naive = enumerated"
+    ~count:60 inst_gen (fun d ->
+      List.for_all
+        (fun q ->
+          let a = Certain.answers ~jobs:1 d q in
+          Relation.equal a.Certain.certain a.Certain.naive
+          && Relation.equal a.Certain.possible a.Certain.naive
+          && Relation.equal a.Certain.naive
+               (Certain.certain_answers_enumerated ~jobs:1 d q))
+        queries)
+
 let () =
   Alcotest.run "incomplete"
     [ ( "valuation",
@@ -710,6 +780,8 @@ let () =
       ( "edge-cases",
         [ Alcotest.test_case "complete database" `Quick
             test_complete_database_degenerate;
+          Alcotest.test_case "null-free certain checks no class" `Quick
+            test_null_free_certain_checks_no_class;
           Alcotest.test_case "valuation printing" `Quick test_valuation_printing;
           Alcotest.test_case "preimage relation" `Quick test_preimage_relation
         ] );
@@ -718,5 +790,6 @@ let () =
           [ prop_naive_superset_certain; prop_ucq_certain_is_naive;
             prop_posforallg_certain_is_naive;
             prop_bijective_count_matches_enumeration;
-            prop_possible_iff_some_valuation ] )
+            prop_possible_iff_some_valuation;
+            prop_null_free_answers_are_naive ] )
     ]

@@ -277,6 +277,37 @@ let test_service_deadline () =
   check Alcotest.bool "guard presence is invisible in the result" true
     (p1 = p2)
 
+(* An analyze report is a function of the request alone: renaming the
+   constants, and interning other names in between, changes no byte.
+   Constant codes are process-global, so a k derived from the largest
+   code would move with what the process served before. *)
+let test_service_analyze_content_determined () =
+  let report db =
+    let line =
+      W.obj
+        [ ("op", W.S "analyze"); ("schema", W.S "R(a,b); S(a,b)");
+          ("db", W.S db);
+          ("query", W.S "Q() := (exists x. R(x,x)) & (exists y. S(y,y))")
+        ]
+    in
+    match List.assoc_opt "report" (expect_ok (run_service line)) with
+    | Some (W.Raw json) -> json
+    | _ -> Alcotest.fail "analyze answered no report"
+  in
+  let first = report "R = { (~1,'ae1'), (~2,'ae2') }; S = { (~3,'af1') }" in
+  let unrelated =
+    Printf.sprintf "R = { %s }; S = { }"
+      (String.concat ", "
+         (List.init 12 (fun i -> Printf.sprintf "('au%d', ~1)" i)))
+  in
+  ignore
+    (Result.get_ok
+       (Session.get (Session.create ()) ~schema:schema_a ~db:unrelated));
+  let renamed = report "R = { (~1,'ag1'), (~2,'ag2') }; S = { (~3,'ah1') }" in
+  check Alcotest.string "same report after renaming" first renamed;
+  check Alcotest.bool "k counts the constants" true
+    (contains first "\"k\": 19")
+
 (* The update op, end to end at the service layer: a session mutated
    in place must answer exactly like a fresh session loaded from the
    updated database text — and the original (schema, db) pair keeps
@@ -721,6 +752,8 @@ let () =
           Alcotest.test_case "typed bad requests" `Quick
             test_service_bad_requests;
           Alcotest.test_case "deadline guard" `Quick test_service_deadline;
+          Alcotest.test_case "analyze report is content-determined" `Quick
+            test_service_analyze_content_determined;
           Alcotest.test_case "update mutates the session in place" `Quick
             test_service_update;
           Alcotest.test_case "update validation" `Quick
