@@ -138,8 +138,10 @@ val router_forwards : t
     and replayed [update] lines both. *)
 
 val router_retries : t
-(** Reads retried on another replica after a shard conversation
-    failed. *)
+(** Requests sent again: reads retried on another replica after a
+    shard conversation failed, and requests sent again, after a
+    replay of their session's log, to a shard that answered
+    [unknown_session] to their digest. *)
 
 val router_replica_forwards : t
 (** Accepted [update] lines forwarded to read replicas (one count per

@@ -27,12 +27,42 @@ let well_formed schema q =
   | Ok () -> Ok ()
   | Error msg -> Error (Wire.Bad_request, "ill-formed query: " ^ msg)
 
-let get_session sessions req =
-  let* schema = require req "schema" in
-  let* db = require req "db" in
-  match Session.get sessions ~schema ~db with
-  | Ok entry -> Ok entry
-  | Error msg -> Error (Wire.Bad_request, msg)
+(* A request names its session by the (schema, db) texts or by their
+   digest in a [session] field, never both. The name is checked apart
+   from the lookup so that [update] reports a missing field of its own
+   before a parse error in the texts. *)
+type session_name = Text of string * string | Digest of string
+
+let session_name req =
+  match Wire.str_field req "session" with
+  | Some d ->
+      if Wire.str_field req "schema" <> None || Wire.str_field req "db" <> None
+      then
+        Error
+          ( Wire.Bad_request,
+            "name the session by \"session\" or by \"schema\" and \"db\", \
+             not both" )
+      else Ok (Digest d)
+  | None ->
+      let* schema = require req "schema" in
+      let* db = require req "db" in
+      Ok (Text (schema, db))
+
+let lookup sessions = function
+  | Text (schema, db) ->
+      Result.map_error
+        (fun msg -> (Wire.Bad_request, msg))
+        (Session.get sessions ~schema ~db)
+  | Digest d -> (
+      match Session.find sessions d with
+      | Some entry -> Ok entry
+      | None ->
+          Error
+            ( Wire.Unknown_session,
+              Printf.sprintf
+                "unknown session %S: resend \"schema\" and \"db\"" d ))
+
+let get_session sessions req = Result.bind (session_name req) (lookup sessions)
 
 (* The candidate tuple: required exactly when the query is
    non-Boolean, like the CLI's --tuple. *)
@@ -323,12 +353,12 @@ let run_approx ~sessions ?jobs ?guard req =
 
 (* The update op: mutate a live session by one tuple. The session is
    addressed — like every other op — by the original (schema, db)
-   texts; its state drifts away from the db text with each update,
-   which is the point: later queries against the same pair see the
-   updated instance without re-parsing or re-indexing anything. *)
+   texts or their digest; its state drifts away from the db text with
+   each update, which is the point: later queries against the same
+   pair see the updated instance without re-parsing or re-indexing
+   anything. *)
 let run_update ~sessions req =
-  let* schema = require req "schema" in
-  let* db = require req "db" in
+  let* name = session_name req in
   let* action =
     let* s = require req "action" in
     match s with
@@ -346,9 +376,10 @@ let run_update ~sessions req =
     | Ok t -> Ok t
     | Error msg -> Error (Wire.Bad_request, "tuple: " ^ msg)
   in
-  match Session.update sessions ~schema ~db ~action ~relation ~tuple with
+  let* entry = lookup sessions name in
+  match Session.apply entry ~action ~relation ~tuple with
   | Error msg -> Error (Wire.Bad_request, msg)
-  | Ok (entry, generation) ->
+  | Ok generation ->
       let inst = entry.Session.inst in
       Ok
         [ ("applied", Wire.S (match action with
@@ -374,7 +405,9 @@ let parse_schema s =
   | Error msg -> Error (Wire.Bad_request, "schema: " ^ msg)
 
 let run_analyze ~sessions req =
-  let has_db = Wire.str_field req "db" <> None in
+  let has_db =
+    Wire.str_field req "db" <> None || Wire.str_field req "session" <> None
+  in
   let* sch, inst =
     if has_db then
       let* entry = get_session sessions req in

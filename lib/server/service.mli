@@ -15,6 +15,12 @@
     semicolon-joined tuple lists; never floats or timings — which is
     what makes the bit-identity gate possible.
 
+    A request names its session by its [schema] and [db] texts or, once
+    the store holds that pair, by the pair's {!Session.digest} in a
+    [session] field; a digest the store does not hold is answered
+    {!Wire.Unknown_session}, and a request naming both ways is a
+    {!Wire.Bad_request}. Either way the answer is the same bytes.
+
     Evaluating requests pass the static-analysis precheck gate first:
     analysis errors come back as {!Wire.Analysis_error} with the
     stable diagnostic codes in the message, and no evaluation runs. *)

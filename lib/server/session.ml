@@ -12,6 +12,7 @@ type chase_memo =
     * Chase.outcome)
 
 type entry = {
+  digest : string;
   schema : Relational.Schema.t;
   cache : Incomplete.Support.cache;
   ulock : Mutex.t;
@@ -25,15 +26,21 @@ type entry = {
 type t = {
   lock : Mutex.t;
   table : (string * string, entry) Hashtbl.t;
+  by_digest : (string, entry) Hashtbl.t;  (* the same entries *)
   mutable clock : int;
   max_sessions : int;
+  digest_of : schema:string -> db:string -> string;
 }
 
-let create ?(max_sessions = 16) () =
+let digest ~schema ~db = Digest.to_hex (Digest.string (schema ^ "\000" ^ db))
+
+let create ?(max_sessions = 16) ?(digest = digest) () =
   { lock = Mutex.create ();
     table = Hashtbl.create 16;
+    by_digest = Hashtbl.create 16;
     clock = 0;
-    max_sessions = max 1 max_sessions
+    max_sessions = max 1 max_sessions;
+    digest_of = digest
   }
 
 let count t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
@@ -55,12 +62,13 @@ let evict_over_cap t =
     in
     match victim with
     | None -> assert false (* table over cap is non-empty *)
-    | Some (key, _) ->
+    | Some (key, entry) ->
         Hashtbl.remove t.table key;
+        Hashtbl.remove t.by_digest entry.digest;
         Obs.Metrics.incr Obs.Metrics.serve_session_evictions
   done
 
-let load ~schema ~db =
+let load t ~schema ~db =
   match Parser.schema schema with
   | Error msg -> Error ("schema: " ^ msg)
   | Ok sch -> (
@@ -68,7 +76,8 @@ let load ~schema ~db =
       | Error msg -> Error ("db: " ^ msg)
       | Ok inst ->
           Ok
-            { schema = sch;
+            { digest = t.digest_of ~schema ~db;
+              schema = sch;
               cache = Incomplete.Support.create_cache ();
               ulock = Mutex.create ();
               inst;
@@ -96,21 +105,37 @@ let get t ~schema ~db =
          it, so caches are never split across requests. Only the winning
          insert counts as a load — the loser's parse produced nothing
          the store keeps. *)
-      match load ~schema ~db with
+      match load t ~schema ~db with
       | Error _ as e -> e
       | Ok fresh ->
-          Ok
-            (Mutex.protect t.lock (fun () ->
-                 match Hashtbl.find_opt t.table key with
-                 | Some winner ->
-                     touch t winner;
-                     winner
-                 | None ->
-                     Obs.Metrics.incr Obs.Metrics.serve_session_loads;
-                     Hashtbl.add t.table key fresh;
-                     touch t fresh;
-                     evict_over_cap t;
-                     fresh)))
+          Mutex.protect t.lock (fun () ->
+              match Hashtbl.find_opt t.table key with
+              | Some winner ->
+                  touch t winner;
+                  Ok winner
+              | None when Hashtbl.mem t.by_digest fresh.digest ->
+                  (* Another pair holds this digest: refuse rather than
+                     let a [session] request reach the wrong data. *)
+                  Error
+                    (Printf.sprintf
+                       "session digest %s already names another (schema, \
+                        db) pair"
+                       fresh.digest)
+              | None ->
+                  Obs.Metrics.incr Obs.Metrics.serve_session_loads;
+                  Hashtbl.add t.table key fresh;
+                  Hashtbl.add t.by_digest fresh.digest fresh;
+                  touch t fresh;
+                  evict_over_cap t;
+                  Ok fresh))
+
+let find t digest =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.by_digest digest with
+      | Some entry ->
+          touch t entry;
+          Some entry
+      | None -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Single-tuple updates                                                *)

@@ -15,8 +15,13 @@
     ({!Incomplete.Kernel.db_insert}/[db_delete]) instead of rebuilt,
     and finished FD chases are resumed ({!Constraints.Chase.chase_inc})
     instead of re-run. The session key stays the {e original} database
-    text: the store is a live instance seeded from that text, not a
-    content hash.
+    text: the store is a live instance seeded from that text.
+
+    Each entry is also indexed by its {!digest}, computed once when the
+    entry loads and dropped with it: a request may name its session by
+    the digest alone ({!find}). A text whose digest already names a
+    different pair is refused, so a digest collision can cost a load,
+    never answer from another session's data.
 
     Concurrency: an update swaps [entry.inst] under the entry's lock;
     a query takes one snapshot of [inst] and is internally consistent
@@ -33,6 +38,7 @@
     concurrent connection. *)
 
 type entry = private {
+  digest : string;  (** {!digest} of the (schema, db) text pair *)
   schema : Relational.Schema.t;
   cache : Incomplete.Support.cache;
   ulock : Mutex.t;  (** serializes updates and chase-memo access *)
@@ -53,13 +59,28 @@ type entry = private {
 
 type t
 
-val create : ?max_sessions:int -> unit -> t
-(** [max_sessions] defaults to 16 and is clamped to at least 1. *)
+val digest : schema:string -> db:string -> string
+(** The 32-character hex MD5 of [schema ^ "\000" ^ db]: the name a
+    [session] request field gives the pair. *)
+
+val create :
+  ?max_sessions:int ->
+  ?digest:(schema:string -> db:string -> string) ->
+  unit ->
+  t
+(** [max_sessions] defaults to 16 and is clamped to at least 1.
+    [digest] defaults to {!digest}; tests pass a colliding one. *)
 
 val get : t -> schema:string -> db:string -> (entry, string) result
 (** Find or load the session for this (schema, db) text pair. Parsing
     happens outside the store lock, so a slow parse does not stall
-    other connections; [Error] is a parse diagnostic. *)
+    other connections; [Error] is a parse diagnostic, or the refusal
+    of a pair whose digest names another live entry. *)
+
+val find : t -> string -> entry option
+(** The live session with this digest, if any; a hit refreshes its LRU
+    position like {!get}. [None] for a digest never loaded or
+    evicted: the caller must resend the text. *)
 
 val count : t -> int
 (** Number of live sessions (for the [health] endpoint). *)
@@ -67,6 +88,15 @@ val count : t -> int
 (** {1 Updates} *)
 
 type action = Insert | Delete
+
+val apply :
+  entry ->
+  action:action ->
+  relation:string ->
+  tuple:Relational.Tuple.t ->
+  (int, string) result
+(** Apply a single-tuple update to a session found by {!get} or
+    {!find}; the result is as for {!update}. *)
 
 val update :
   t ->
@@ -76,11 +106,12 @@ val update :
   relation:string ->
   tuple:Relational.Tuple.t ->
   (entry * int, string) result
-(** Apply a single-tuple update to the (possibly just-loaded) session,
-    returning the entry and its generation: the number of updates
-    acknowledged on the session, this one included (1 for the first).
-    It counts this session's updates only, so the same update history
-    answers the same generation in any process. [Error]s:
+(** {!get}, then {!apply}: a single-tuple update to the (possibly
+    just-loaded) session, returning the entry and its generation: the
+    number of updates acknowledged on the session, this one included
+    (1 for the first). It counts this session's updates only, so the
+    same update history answers the same generation in any process.
+    [Error]s:
     unknown relation, arity mismatch, inserting a tuple already
     present, deleting a tuple that is absent — all leave the session
     untouched. *)

@@ -220,6 +220,7 @@ type error =
   | Deadline_exceeded
   | Shutting_down
   | Shard_unavailable
+  | Unknown_session
   | Internal_error
 
 let error_code = function
@@ -231,6 +232,7 @@ let error_code = function
   | Deadline_exceeded -> "deadline_exceeded"
   | Shutting_down -> "shutting_down"
   | Shard_unavailable -> "shard_unavailable"
+  | Unknown_session -> "unknown_session"
   | Internal_error -> "internal_error"
 
 let obj fields =

@@ -57,6 +57,9 @@ type error =
   | Shard_unavailable
       (** router tier only: no live backend shard can serve the
           session right now — retry after the prober re-admits one *)
+  | Unknown_session
+      (** the request's [session] digest names no session this daemon
+          holds (never loaded, or evicted) — resend [schema] and [db] *)
   | Internal_error
 
 val error_code : error -> string

@@ -41,9 +41,9 @@ let parse_addr = Listener.parse_addr
 (* One backend shard. [s_lock]/[s_cond] guard every mutable field; the
    in-flight window blocks on the condition. [s_generation] is the
    value last reported by the shard's health op — when it changes
-   behind the same address the shard restarted and lost its sessions,
-   so pooled connections are dropped and per-session replay state
-   keyed by the old generation goes stale by construction. *)
+   behind the same address the shard restarted, so pooled connections
+   are dropped. The sessions it lost need no bookkeeping here: their
+   next digest line gets [unknown_session]. *)
 type shard = {
   s_idx : int;
   s_name : string;
@@ -59,32 +59,43 @@ type shard = {
   mutable s_draining : bool;
 }
 
-(* Per-session replication state, created lazily on the first
-   [update]. The ordered log of accepted updates is the session's write
-   history: any shard (replica, remapped primary, restarted primary) is
-   brought to the present by replaying the suffix it has not seen,
-   tracked per (shard, generation). An update is logged as its request
+(* A shard known to hold a session: it answered [ok:true] to a line
+   that carried the session's text and has applied the first
+   [h_applied] entries of the session's update log. Lines to it name
+   the session by digest alone. One that lost the session (evicted it,
+   or restarted) answers [unknown_session] and is forgotten. *)
+type holder = { h_shard : int; mutable h_applied : int }
+
+(* Per-(schema, db) routing state. The ordered log of accepted updates
+   is the session's write history: any shard (replica, remapped
+   primary, restarted primary) is brought to the present by replaying
+   the suffix it has not applied. An update is logged as its request
    fields without [schema] and [db], which every update of the session
-   shares and the session keeps once: the [db] text dwarfs the rest.
-   Read-only sessions never allocate one of these — backends
-   materialize them from the request text on demand. *)
+   shares and the record keeps once: the [db] text dwarfs the rest.
+   The digest, computed once per record, places the session on the
+   ring and names it to its holders. *)
 type session = {
-  sn_lock : Mutex.t;
+  sn_lock : Mutex.t;  (* guards the log and the holders *)
   sn_schema : string;
   sn_db : string;
+  sn_digest : string;
   mutable sn_log : (string * Wire.value) list list;
       (* accepted updates' other fields, newest first *)
   mutable sn_len : int;
-  mutable sn_applied : ((int * int) * int) list;
-      (* (shard index, shard generation) -> prefix length applied *)
+  mutable sn_applied : holder list;
+  (* The rest is guarded by the router's [sess_lock]. *)
+  mutable sn_used : int;  (* LRU stamp *)
+  mutable sn_kept : bool;  (* an update request touched it: never dropped *)
 }
 
 type t = {
   cfg : config;
   ring : Ring.t;
   shards : shard array;
-  sessions : (string, session) Hashtbl.t;
+  sessions : (string * string, session) Hashtbl.t;
   sess_lock : Mutex.t;
+  mutable sess_clock : int;
+  mutable droppable : int;  (* records no update touched *)
   rr_tick : int Atomic.t;  (* spreads reads over replica sets *)
   answering : int Atomic.t;  (* request lines not yet answered *)
   stop_prober : bool Atomic.t;
@@ -98,11 +109,19 @@ type t = {
 
 let resp_ok resp = Wire.contains resp "\"ok\":true"
 
+(* An error answer with this code. [ok] comes before any payload, so
+   an accepted answer is told apart without scanning the payload. *)
+let resp_error resp code =
+  (not (resp_ok resp)) && Wire.contains resp ("\"error\":\"" ^ code ^ "\"")
+
 (* A shard that answers [shutting_down] is mid-drain: the line is a
    valid response, but relaying it would leak tier topology to the
    client — the contract is that backends failing over is the
    router's problem. Treat it like a transport failure and move on. *)
-let resp_shutting_down resp = Wire.contains resp "\"error\":\"shutting_down\""
+let resp_shutting_down resp = resp_error resp "shutting_down"
+
+(* The shard no longer holds the session a digest line named. *)
+let resp_unknown resp = resp_error resp "unknown_session"
 
 (* Pull an integer field out of a response line. Responses are our own
    emitter's output, so a plain scan for the key is exact enough. *)
@@ -133,8 +152,6 @@ let rotate k l =
     let k = ((k mod n) + n) mod n in
     let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l) in
     drop k l @ firstn k l
-
-let session_key ~schema ~db = schema ^ "\x00" ^ db
 
 let now_ns () = Int64.to_int (Obs.Clock.now_ns ())
 
@@ -223,63 +240,158 @@ let talk conn line =
 (* Session catch-up (write forwarding and replay)                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The request line of a logged update. *)
-let update_line sess fields =
-  Wire.obj
-    (("schema", Wire.S sess.sn_schema)
-    :: ("db", Wire.S sess.sn_db)
-    :: List.map
-         (function
-           | k, Wire.Str v -> (k, Wire.S v) | k, Wire.Int n -> (k, Wire.I n))
-         fields)
+let without_texts fields =
+  List.filter (fun (k, _) -> k <> "schema" && k <> "db") fields
 
-(* Bring [sh] up to date with the session's accepted-update log over
-   [conn]. Caller holds [sn_lock]. Replay is idempotent per shard
-   generation: the applied prefix length is tracked per (shard,
-   generation), so a restarted shard (fresh generation) replays from
-   zero while a caught-up one replays nothing. *)
-let ensure_synced sess sh conn =
-  let gen = Mutex.protect sh.s_lock (fun () -> sh.s_generation) in
-  let k = (sh.s_idx, gen) in
-  let have =
-    match List.assoc_opt k sess.sn_applied with Some n -> n | None -> 0
+(* How the next line to a shard names the session: by digest to a
+   holder, by text to any other shard. *)
+type form = Named of holder | Text
+
+(* The functions down to [sync] run under the session's [sn_lock]. *)
+let holder_at sess sh =
+  List.find_opt (fun h -> h.h_shard = sh.s_idx) sess.sn_applied
+
+let form_for sess sh =
+  match holder_at sess sh with Some h -> Named h | None -> Text
+
+(* The request line of [fields] (a request's fields but the texts) in
+   [form]. *)
+let line_for sess form fields =
+  let fields =
+    List.map
+      (function k, Wire.Str v -> (k, Wire.S v) | k, Wire.Int n -> (k, Wire.I n))
+      fields
   in
-  if have >= sess.sn_len then true
-  else
-    let to_replay = List.rev (firstn (sess.sn_len - have) sess.sn_log) in
-    let ok =
-      List.for_all
-        (fun fields ->
-          match talk conn (update_line sess fields) with
-          | Some r -> resp_ok r
-          | None -> false)
-        to_replay
-    in
-    if ok then
-      sess.sn_applied <-
-        (k, sess.sn_len)
-        :: List.filter (fun ((i, _), _) -> i <> sh.s_idx) sess.sn_applied;
-    ok
+  match form with
+  | Named _ -> Wire.obj (fields @ [ ("session", Wire.S sess.sn_digest) ])
+  | Text ->
+      Wire.obj
+        (("schema", Wire.S sess.sn_schema)
+        :: ("db", Wire.S sess.sn_db)
+        :: fields)
 
-let find_session t key =
-  Mutex.protect t.sess_lock (fun () -> Hashtbl.find_opt t.sessions key)
-
-let get_session t key ~schema ~db =
-  Mutex.protect t.sess_lock (fun () ->
-      match Hashtbl.find_opt t.sessions key with
-      | Some s -> s
+(* After an [ok:true] answer to a line in [form]: [sh] holds the
+   session with [applied] log entries. A text line makes it a holder,
+   unless a concurrent read's text line already did. *)
+let held sess sh form ~applied =
+  match form with
+  | Named h ->
+      h.h_applied <- applied;
+      h
+  | Text -> (
+      match holder_at sess sh with
+      | Some h -> h
       | None ->
-          let s =
-            { sn_lock = Mutex.create ();
-              sn_schema = schema;
-              sn_db = db;
-              sn_log = [];
-              sn_len = 0;
-              sn_applied = []
-            }
-          in
-          Hashtbl.add t.sessions key s;
-          s)
+          let h = { h_shard = sh.s_idx; h_applied = applied } in
+          sess.sn_applied <- h :: sess.sn_applied;
+          h)
+
+let forget sess h =
+  sess.sn_applied <- List.filter (fun h' -> h' != h) sess.sn_applied
+
+(* Bring [sh] up to date with the session's update log over [conn] by
+   replaying the suffix it has not applied, and answer the form of the
+   session's next line to it. A shard that holds nothing replays from
+   zero, its first line carrying the text; a caught-up holder replays
+   nothing. A holder that lost the session is forgotten and replayed
+   from zero in the same way, once: [None] when the shard fails, or
+   loses the session again during that replay. *)
+let sync sess sh conn =
+  let rec replay ~restarted form i = function
+    | [] -> Some form
+    | fields :: rest -> (
+        match talk conn (line_for sess form fields) with
+        | Some r when resp_ok r ->
+            replay ~restarted (Named (held sess sh form ~applied:i)) (i + 1) rest
+        | Some r when resp_unknown r && not restarted -> (
+            match form with
+            | Named h ->
+                forget sess h;
+                from ~restarted:true
+            | Text -> None)
+        | Some _ | None -> None)
+  and from ~restarted =
+    let form = form_for sess sh in
+    let have = match form with Named h -> h.h_applied | Text -> 0 in
+    replay ~restarted form (have + 1)
+      (List.rev (firstn (sess.sn_len - have) sess.sn_log))
+  in
+  from ~restarted:false
+
+(* ------------------------------------------------------------------ *)
+(* Session records                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Records that no update touched only save text forwards, so they
+   are capped at a shard's default session capacity per shard, least
+   recently used dropped first; a dropped one costs one text line per
+   shard when its session comes back. A record an update request found
+   or made may hold the only copy of acknowledged updates and is never
+   dropped. Caller holds [sess_lock]. *)
+let drop_over_cap t =
+  let cap =
+    (Daemon.default_config t.cfg.addr).Daemon.max_sessions
+    * Array.length t.shards
+  in
+  let rec go () =
+    if t.droppable > cap then
+      match
+        Hashtbl.fold
+          (fun key s acc ->
+            if s.sn_kept then acc
+            else
+              match acc with
+              | Some (_, lru) when lru.sn_used <= s.sn_used -> acc
+              | _ -> Some (key, s))
+          t.sessions None
+      with
+      | None -> ()
+      | Some (key, _) ->
+          Hashtbl.remove t.sessions key;
+          t.droppable <- t.droppable - 1;
+          go ()
+  in
+  go ()
+
+(* The record of a (schema, db) pair, made on first use; its digest is
+   computed outside the lock. An [~update] request keeps it for good. *)
+let find_session t ~schema ~db ~update =
+  let key = (schema, db) in
+  let touch s =
+    t.sess_clock <- t.sess_clock + 1;
+    s.sn_used <- t.sess_clock;
+    if update && not s.sn_kept then begin
+      s.sn_kept <- true;
+      t.droppable <- t.droppable - 1
+    end;
+    s
+  in
+  let found () = Option.map touch (Hashtbl.find_opt t.sessions key) in
+  match Mutex.protect t.sess_lock found with
+  | Some s -> s
+  | None ->
+      let digest = Server.Session.digest ~schema ~db in
+      Mutex.protect t.sess_lock (fun () ->
+          match found () with
+          | Some s -> s
+          | None ->
+              let s =
+                { sn_lock = Mutex.create ();
+                  sn_schema = schema;
+                  sn_db = db;
+                  sn_digest = digest;
+                  sn_log = [];
+                  sn_len = 0;
+                  sn_applied = [];
+                  sn_used = 0;
+                  sn_kept = false
+                }
+              in
+              Hashtbl.add t.sessions key s;
+              t.droppable <- t.droppable + 1;
+              let s = touch s in
+              drop_over_cap t;
+              s)
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)
@@ -298,26 +410,68 @@ let unavailable ~id msg =
   Metrics.incr Metrics.router_shard_unavailable;
   Wire.error_line ~id Wire.Shard_unavailable msg
 
-(* One shard conversation for a read: sync the session's updates in if
-   it has any, then proxy the request line verbatim. *)
-let read_on_shard sess_opt sh conn line =
-  let synced =
-    match sess_opt with
-    | None -> true
-    | Some sess -> Mutex.protect sess.sn_lock (fun () -> ensure_synced sess sh conn)
+(* Send a request on its session to [sh] over [conn]: sync the
+   session's updates in, then send the request by digest to a holder.
+   A shard that holds nothing after the sync has nothing to replay (the
+   log is empty) and gets the client's line, which loads the session
+   from its text; that goes under the session's lock, so no update is
+   logged between the check and the load. A holder that answers
+   [unknown_session] is forgotten, caught up from the text and sent the
+   request again, once. [locked] runs its argument under the session's
+   lock (a caller that holds it passes plain application). [None] when
+   the catch-up failed or the shard lost the session twice; [Some None]
+   when the request itself got no answer. *)
+let exchange ~locked sess sh conn req line =
+  let fields = without_texts req.Wire.fields in
+  let rec go ~lost =
+    let step =
+      locked (fun () ->
+          Option.iter (forget sess) lost;
+          match sync sess sh conn with
+          | None -> `Failed
+          | Some (Named h) -> `Named h
+          | Some Text ->
+              let r = talk conn line in
+              (match r with
+              | Some resp when resp_ok resp ->
+                  ignore (held sess sh Text ~applied:0)
+              | _ -> ());
+              `Sent r)
+    in
+    match step with
+    | `Failed -> None
+    | `Sent r -> Some r
+    | `Named h -> (
+        match talk conn (line_for sess (Named h) fields) with
+        | Some resp when resp_unknown resp ->
+            if Option.is_some lost then None
+            else begin
+              Metrics.incr Metrics.router_retries;
+              go ~lost:(Some h)
+            end
+        | r -> Some r)
   in
-  if not synced then None
-  else
-    match talk conn line with
-    | Some resp when resp_shutting_down resp -> None
-    | r -> r
+  go ~lost:None
 
-let route_read t ~id ~key line =
+(* One shard conversation for a read. A request that names no session
+   goes as it came. *)
+let read_on_shard sess_opt sh conn req line =
+  let resp =
+    match sess_opt with
+    | None -> talk conn line
+    | Some sess -> (
+        let locked f = Mutex.protect sess.sn_lock f in
+        match exchange ~locked sess sh conn req line with
+        | None -> None
+        | Some r -> r)
+  in
+  match resp with Some r when resp_shutting_down r -> None | r -> r
+
+let route_read t ~id ~key sess req line =
   match candidates t key with
   | [] -> unavailable ~id "no live shard for session"
   | cands ->
       let order = rotate (Atomic.fetch_and_add t.rr_tick 1) cands in
-      let sess = find_session t key in
       let rec go tried = function
         | [] ->
             unavailable ~id
@@ -329,7 +483,7 @@ let route_read t ~id ~key line =
             | None -> go (tried + 1) rest
             | Some conn -> (
                 let t0 = now_ns () in
-                match read_on_shard sess sh conn line with
+                match read_on_shard sess sh conn req line with
                 | Some resp ->
                     checkin sh conn ~ok:true;
                     Metrics.observe_span
@@ -343,69 +497,56 @@ let route_read t ~id ~key line =
       go 0 order
 
 (* Writes: catch the primary up, apply there, and only on an accepted
-   response append the line to the session log and forward it (by the
-   same catch-up) to the replicas that are reachable right now — all
-   under the session lock, so updates to one session are totally
+   response append the update to the session log and forward it (by
+   the same catch-up) to the replicas that are reachable right now —
+   all under the session lock, so updates to one session are totally
    ordered and every replica applies the same accepted prefix in the
    same order. Replicas missed here (down, restarting) are caught up
    lazily by the next read or write that touches them. *)
-let route_update t ~id ~key ~schema ~db req line =
-  let sess = get_session t key ~schema ~db in
+let route_update t ~id sess req line =
   Mutex.protect sess.sn_lock (fun () ->
-      match candidates t key with
+      match candidates t sess.sn_digest with
       | [] -> unavailable ~id "no live shard for session"
       | primary :: replicas -> (
           let sh = t.shards.(primary) in
           match checkout t sh with
           | None -> unavailable ~id "primary shard unavailable"
-          | Some conn ->
-              if not (ensure_synced sess sh conn) then begin
-                checkin sh conn ~ok:false;
-                unavailable ~id "primary shard unavailable"
-              end
-              else begin
-                let t0 = now_ns () in
-                match talk conn line with
-                | None ->
-                    checkin sh conn ~ok:false;
-                    unavailable ~id "primary shard failed mid-update"
-                | Some resp when resp_shutting_down resp ->
-                    checkin sh conn ~ok:false;
-                    unavailable ~id "primary shard is draining"
-                | Some resp ->
-                    checkin sh conn ~ok:true;
-                    Metrics.observe_span
-                      ("router.shard." ^ sh.s_name)
-                      (now_ns () - t0);
-                    if resp_ok resp then begin
-                      sess.sn_log <-
-                        List.filter
-                          (fun (k, _) -> k <> "schema" && k <> "db")
-                          req.Wire.fields
-                        :: sess.sn_log;
-                      sess.sn_len <- sess.sn_len + 1;
-                      let gen =
-                        Mutex.protect sh.s_lock (fun () -> sh.s_generation)
-                      in
-                      sess.sn_applied <-
-                        ((primary, gen), sess.sn_len)
-                        :: List.filter
-                             (fun ((i, _), _) -> i <> primary)
-                             sess.sn_applied;
-                      List.iter
-                        (fun r ->
-                          let rsh = t.shards.(r) in
-                          match checkout t rsh with
-                          | None -> ()
-                          | Some rc ->
-                              let ok = ensure_synced sess rsh rc in
-                              if ok then
-                                Metrics.incr Metrics.router_replica_forwards;
-                              checkin rsh rc ~ok)
-                        replicas
-                    end;
-                    resp
-              end))
+          | Some conn -> (
+              let t0 = now_ns () in
+              match exchange ~locked:(fun f -> f ()) sess sh conn req line with
+              | None ->
+                  checkin sh conn ~ok:false;
+                  unavailable ~id "primary shard unavailable"
+              | Some None ->
+                  checkin sh conn ~ok:false;
+                  unavailable ~id "primary shard failed mid-update"
+              | Some (Some resp) when resp_shutting_down resp ->
+                  checkin sh conn ~ok:false;
+                  unavailable ~id "primary shard is draining"
+              | Some (Some resp) ->
+                  checkin sh conn ~ok:true;
+                  Metrics.observe_span
+                    ("router.shard." ^ sh.s_name)
+                    (now_ns () - t0);
+                  if resp_ok resp then begin
+                    sess.sn_log <- without_texts req.Wire.fields :: sess.sn_log;
+                    sess.sn_len <- sess.sn_len + 1;
+                    Option.iter
+                      (fun h -> h.h_applied <- sess.sn_len)
+                      (holder_at sess sh);
+                    List.iter
+                      (fun r ->
+                        let rsh = t.shards.(r) in
+                        match checkout t rsh with
+                        | None -> ()
+                        | Some rc ->
+                            let ok = sync sess rsh rc <> None in
+                            if ok then
+                              Metrics.incr Metrics.router_replica_forwards;
+                            checkin rsh rc ~ok)
+                      replicas
+                  end;
+                  resp)))
 
 (* ------------------------------------------------------------------ *)
 (* Router health                                                       *)
@@ -453,11 +594,12 @@ let handle_line t line =
   | Ok req when req.Wire.op = "health" -> health_line t ~id:req.Wire.id
   | Ok req when Listener.draining t.listener ->
       Wire.error_line ~id:req.Wire.id Wire.Shutting_down "router is draining"
+  | Ok req when Wire.str_field req "session" <> None ->
+      Wire.error_line ~id:req.Wire.id Wire.Bad_request
+        "the router takes \"schema\" and \"db\", not \"session\""
   | Ok req ->
       let id = req.Wire.id in
-      let schema = Option.value (Wire.str_field req "schema") ~default:"" in
-      let db = Option.value (Wire.str_field req "db") ~default:"" in
-      let key = session_key ~schema ~db in
+      let line = Result.get_ok line in
       let t0 = now_ns () in
       let resp =
         Obs.Trace.span "router.request"
@@ -466,10 +608,22 @@ let handle_line t line =
               ("id", match id with Some i -> i | None -> "")
             ]
           (fun () ->
-            let line = Result.get_ok line in
-            if req.Wire.op = "update" then
-              route_update t ~id ~key ~schema ~db req line
-            else route_read t ~id ~key line)
+            match (Wire.str_field req "schema", Wire.str_field req "db") with
+            | Some schema, Some db when req.Wire.op = "update" ->
+                route_update t ~id (find_session t ~schema ~db ~update:true) req
+                  line
+            | Some schema, Some db ->
+                let sess = find_session t ~schema ~db ~update:false in
+                route_read t ~id ~key:sess.sn_digest (Some sess) req line
+            | schema, db ->
+                (* No session to name: place by the texts there are and
+                   forward the line as it came. *)
+                let key =
+                  Server.Session.digest
+                    ~schema:(Option.value schema ~default:"")
+                    ~db:(Option.value db ~default:"")
+                in
+                route_read t ~id ~key None req line)
       in
       Metrics.observe_span "router.request" (now_ns () - t0);
       resp
@@ -508,8 +662,8 @@ let note_probe_ok sh gen =
   | `Steady -> ()
   | `Readmitted | `Restarted ->
       (* Either way the pooled connections point at a process that is
-         gone; per-session replay state keyed by the old generation is
-         stale by construction and will be rebuilt on first touch. *)
+         gone. The sessions a restart lost are rebuilt when their next
+         digest line gets [unknown_session]. *)
       Metrics.incr Metrics.router_ring_remaps;
       drop_idle sh
 
@@ -631,6 +785,8 @@ let start_common (cfg : config) =
       shards;
       sessions = Hashtbl.create 64;
       sess_lock = Mutex.create ();
+      sess_clock = 0;
+      droppable = 0;
       rr_tick = Atomic.make 0;
       answering = Atomic.make 0;
       stop_prober = Atomic.make false;
@@ -678,7 +834,7 @@ let replica_set t ~schema ~db =
   let mask = live_mask t in
   Ring.successors t.ring ~up:(Array.get mask)
     ~n:(max 1 t.cfg.replicas)
-    (session_key ~schema ~db)
+    (Server.Session.digest ~schema ~db)
   |> List.map (fun i -> t.shards.(i).s_name)
 
 let primary_of t ~schema ~db =

@@ -6,32 +6,52 @@
     own socket tier, {!Server.Listener} (bind, 1 MiB line cap, ordered
     writer with its 30 s write cap, signal-safe drain); the router is
     only its line handler and drain hook. It owns no engine of its
-    own: every evaluating request is consistent-hashed by its
-    [(schema, db)] session key onto a {!Ring} of backend shards — each
-    a stock [certainty serve] daemon — and the client's request line
-    is proxied {e verbatim} over a pooled {!Server.Client} connection,
-    the shard's response line relayed back untouched. Proxying bytes,
-    not re-encoding, is what makes the byte-identity gate against a
+    own: every evaluating request is consistent-hashed onto a {!Ring}
+    of backend shards — each a stock [certainty serve] daemon — by its
+    session's digest ({!Server.Session.digest} of the [(schema, db)]
+    texts, computed once per session record), and the shard's
+    response line is relayed back untouched. Relaying bytes, not
+    re-encoding, is what makes the byte-identity gate against a
     single-process [Service.handle] hold by construction.
+
+    Clients always send the texts; the router sends each shard a
+    session's text only until the shard holds it. A shard holds a
+    session once it answers [ok:true] to a line that carried the text
+    (the client's line, forwarded verbatim, or a replayed update);
+    from then on the router sends it the request's other fields plus
+    ["session":"<digest>"], and no 50 KB database crosses that hop. A
+    holder that answers [unknown_session] (it evicted the session, or
+    restarted) is forgotten, replayed the session's update log behind
+    the text, and sent the request again by digest, once (the client's
+    line when the log is empty); a shard that loses the session again
+    meanwhile fails the attempt. A client line that itself carries
+    [session] is a [bad_request].
 
     Membership is health-gated: a prober thread polls every shard's
     [health] op each [probe_interval_s]; [fail_threshold] consecutive
     failures eject a shard (remapping only its ring arcs — see
     {!Ring}), one success re-admits it. The [generation] field of the
     health response detects a shard that restarted behind the same
-    address: its pooled connections are dropped and its per-session
-    replay state is invalidated (the state is keyed by generation, so
-    invalidation is free).
+    address, and its pooled connections are dropped. The sessions it
+    lost answer [unknown_session] to their digest, before or after the
+    prober has seen the restart, and get the text again.
 
     Reads on a session spread round-robin over the key's [replicas]
     first live ring successors and fail over to the next replica on a
     transport error. Writes ([update]) go to the key's primary; on an
-    accepted response the raw line is appended to the session's
-    ordered update log and forwarded to the replicas — a per-session
-    sequence (the applied prefix length, tracked per shard generation)
-    lets the router catch any shard up by replaying exactly the suffix
-    it has not seen, which is also how a remapped or restarted shard
-    resumes byte-identical service after failover.
+    accepted response the update is appended to the session's ordered
+    log and forwarded to the replicas — the applied prefix length,
+    tracked per holder, lets the router catch any shard up
+    by replaying exactly the suffix it has not seen, which is also how
+    a remapped, restarted or evicting shard resumes byte-identical
+    service.
+
+    Session records are bounded: those that no [update] request has
+    touched are capped at 16 (a shard's default session capacity) per
+    shard, the least recently used dropped first, which costs one text
+    forward per shard when the session returns. A record an update
+    touched may hold the only copy of acknowledged updates and is
+    never dropped.
 
     Requests that cannot reach any live replica are answered with the
     typed [shard_unavailable] error — never a hang (shard

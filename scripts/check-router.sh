@@ -18,6 +18,12 @@
 #     socket still gets a valid answer (correct bytes or a typed
 #     shard_unavailable — never a hang); restarting the shard brings
 #     shards_up back to 4;
+#   - eviction: behind a second router, two `serve --max-sessions 1`
+#     shards hold one session each; after an insert into session A
+#     and one request on session B (which evicts A from the shard it
+#     reaches), both reads of A (one per replica) still see the insert
+#     — the router replays A's log where a shard lost it, instead of
+#     letting the shard reload A's original text;
 #   - on a multicore runner (recommended_domain_count >= 2) the
 #     external run's speedup_vs_1shard is >= ROUTER_MIN_SPEEDUP
 #     (default 3.0) at 4 shards. Single-core runners skip the speedup
@@ -134,6 +140,49 @@ esac
 PIDS[1]=$!
 wait_shards_up $NSHARDS
 echo "  ok: ejected at $((NSHARDS - 1)) live, correct bytes under outage, re-admitted at $NSHARDS"
+
+echo "== eviction: an acknowledged update survives --max-sessions 1 =="
+EV_PIDS=()
+for i in 1 2; do
+  "$CERTAINTY" serve --socket "$DIR/ev$i.sock" --max-sessions 1 \
+    2>"$DIR/ev$i.log" &
+  EV_PIDS+=($!)
+done
+PIDS+=("${EV_PIDS[@]}")
+for i in 1 2; do
+  wait_health "$DIR/ev$i.sock"
+done
+"$CERTAINTY" router --socket "$DIR/evr.sock" --shard "$DIR/ev1.sock" \
+  --shard "$DIR/ev2.sock" --replicas 2 2>"$DIR/evr.log" &
+EV_PIDS+=($!)
+PIDS+=($!)
+wait_health "$DIR/evr.sock"
+ev() { "$CERTAINTY" client --socket "$DIR/evr.sock" "$@"; }
+ev update --id ev-u -s "R(a)" -d "R = { ('x') }" --action insert \
+  --relation R -t "('y')" | grep -q '"ok":true' || {
+    echo "FATAL: insert into session A refused" >&2
+    exit 1
+  }
+ev certain --id ev-b -s "R(a)" -d "R = { ('b') }" -q "Q(x) := R(x)" \
+  | grep -q '"certain":"(b)"' || {
+    echo "FATAL: session B did not answer" >&2
+    exit 1
+  }
+for i in 1 2; do
+  RESP="$(ev certain --id "ev-a$i" -s "R(a)" -d "R = { ('x') }" \
+    -q "Q(x) := R(x)")"
+  case "$RESP" in
+    *'"certain":"(x); (y)"'*) ;;
+    *)
+      echo "FATAL: session A lost its acknowledged insert: $RESP" >&2
+      exit 1 ;;
+  esac
+done
+for pid in "${EV_PIDS[@]}"; do
+  kill -TERM "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || true
+done
+echo "  ok: both replicas of A answer (x); (y) after B evicted it"
 
 echo "== external run: identical + speedup_vs_1shard >= $MIN_SPEEDUP at $NSHARDS shards =="
 awk -v min="$MIN_SPEEDUP" -v nshards="$NSHARDS" '

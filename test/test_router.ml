@@ -129,15 +129,20 @@ let temp_sock tag =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "certainty-router-test-%s-%d.sock" tag (Unix.getpid ()))
 
-let shard_config sock =
+let shard_config ?(max_sessions = 16) sock =
   { (Daemon.default_config (Daemon.Unix_sock sock)) with
     Daemon.service_threads = 2;
-    max_sessions = 16
+    max_sessions
   }
 
-(* Three shards and a router with a fast prober, torn down in reverse. *)
-let with_cluster ?(replicas = 2) tag f =
-  let socks = List.init 3 (fun i -> temp_sock (Printf.sprintf "%s%d" tag i)) in
+(* Shards (three by default) and a router with a fast prober (every
+   50 ms by default), torn down in reverse. *)
+let with_cluster ?(replicas = 2) ?(shards = 3) ?max_sessions
+    ?(probe_interval_s = 0.05) tag f =
+  let shard_config = shard_config ?max_sessions in
+  let socks =
+    List.init shards (fun i -> temp_sock (Printf.sprintf "%s%d" tag i))
+  in
   List.iter (fun s -> if Sys.file_exists s then Sys.remove s) socks;
   let daemons = List.map (fun s -> Daemon.start (shard_config s)) socks in
   let rsock = temp_sock (tag ^ "r") in
@@ -147,7 +152,7 @@ let with_cluster ?(replicas = 2) tag f =
          ~shards:(List.map (fun s -> Daemon.Unix_sock s) socks))
       with
       Router.replicas;
-      probe_interval_s = 0.05;
+      probe_interval_s;
       fail_threshold = 2;
       drain_grace_s = 5.0
     }
@@ -358,6 +363,89 @@ let test_router_replay_after_restart () =
   check Alcotest.string "restarted primary holds both updates" after
     (request_exn c q)
 
+(* A primary that restarts between two probes is first met by
+   requests: its digest line gets unknown_session, and the router
+   replays the log into the new process. Once the prober has seen the
+   new generation too, the shard must go on serving the session by
+   digest, reads and updates alike, without replaying the log into it
+   a second time. *)
+let test_router_restart_between_probes () =
+  with_cluster ~probe_interval_s:1.0 "rb"
+  @@ fun ~router ~raddr ~stop_shard ~start_shard ->
+  let tag = "rb" in
+  let q = certain_line ~id:"q" tag in
+  let u1 = update_line ~id:"u1" ~row:3 tag
+  and u2 = update_line ~id:"u2" ~row:4 tag in
+  let after1, upd2, after2 =
+    match reference [ u1; q; u2; q ] with
+    | [ _; a; u; b ] -> (a, u, b)
+    | _ -> assert false
+  in
+  let victim =
+    match Router.primary_of router ~schema ~db:(db tag) with
+    | Some v -> v
+    | None -> Alcotest.fail "session has no primary"
+  in
+  (Client.with_conn raddr @@ fun c ->
+   check Alcotest.bool "update accepted" true
+     (contains (request_exn c u1) {|"ok":true|});
+   check Alcotest.string "post-update read" after1 (request_exn c q));
+  stop_shard victim;
+  start_shard victim;
+  (* Reads alternate over the two replicas: the first that picks the
+     primary finds its pooled connection dead and fails over, a later
+     one reaches the new process. *)
+  (Client.with_conn raddr @@ fun c ->
+   for _ = 1 to 4 do
+     check Alcotest.string "read inside the probe interval" after1
+       (request_exn c q)
+   done);
+  Unix.sleepf 2.5;
+  (Client.with_conn raddr @@ fun c ->
+   check Alcotest.string "update after the prober saw the restart" upd2
+     (request_exn c u2);
+   for _ = 1 to 2 do
+     check Alcotest.string "read after the prober saw the restart" after2
+       (request_exn c q)
+   done);
+  Client.with_conn (Daemon.Unix_sock victim) @@ fun c ->
+  check Alcotest.string "the restarted primary holds both updates" after2
+    (request_exn c q)
+
+(* Item 2's router gate: a daemon that evicts an updated session must
+   not answer from its reloaded text. Both shards hold one session at
+   a time; a request on session B evicts session A from the shard it
+   reaches, and both reads of A that follow (one per replica) must
+   still see A's acknowledged insert. *)
+let test_router_eviction_keeps_updates () =
+  with_cluster ~shards:2 ~max_sessions:1 "ev"
+  @@ fun ~router:_ ~raddr ~stop_shard:_ ~start_shard:_ ->
+  let schema = "R(a)" in
+  let line ~id ~db fields =
+    W.obj
+      ([ ("id", W.S id); ("schema", W.S schema); ("db", W.S db) ] @ fields)
+  in
+  let certain ~id db =
+    line ~id ~db [ ("op", W.S "certain"); ("query", W.S "Q(x) := R(x)") ]
+  in
+  let a = "R = { ('x') }" and b = "R = { ('b') }" in
+  Client.with_conn raddr @@ fun c ->
+  check Alcotest.bool "insert into A accepted" true
+    (contains
+       (request_exn c
+          (line ~id:"u" ~db:a
+             [ ("op", W.S "update"); ("action", W.S "insert");
+               ("relation", W.S "R"); ("tuple", W.S "('y')")
+             ]))
+       {|"ok":true|});
+  check Alcotest.bool "B answered" true
+    (contains (request_exn c (certain ~id:"b" b)) {|"certain":"(b)"|});
+  for i = 1 to 2 do
+    let resp = request_exn c (certain ~id:(Printf.sprintf "a%d" i) a) in
+    check Alcotest.bool ("A keeps its insert: " ^ resp) true
+      (contains resp {|"certain":"(x); (y)"|})
+  done
+
 let test_router_caps_line_length () =
   with_cluster "cap" @@ fun ~router:_ ~raddr ~stop_shard:_ ~start_shard:_ ->
   Client.with_conn raddr @@ fun c ->
@@ -398,7 +486,29 @@ let test_router_cap_is_exact () =
   | Some l -> Alcotest.failf "connection should be closed, got %s" l
 
 (* A stub shard on the shared socket tier. It answers the router's
-   health probes inline and holds every other request until [release];
+   health probes inline, at generation [gen] (reported to [probed]),
+   and every other line (or unreadable line) with [answer]; the result
+   drains it. *)
+let stub_listener ?(gen = Atomic.make 1) ?(probed = ignore) sock answer =
+  let l = Listener.bind (Listener.Unix_sock sock) in
+  Listener.start l
+    { Listener.accepted = ignore;
+      line =
+        (fun conn seq line ->
+          match line with
+          | Ok line when contains line {|"op":"health"|} ->
+              let g = Atomic.get gen in
+              probed g;
+              Listener.send conn seq
+                (W.ok_line ~id:None ~op:"health" [ ("generation", W.I g) ])
+          | line -> Listener.send conn seq (answer line));
+      drain = ignore
+    };
+  fun () ->
+    Listener.drain l;
+    Listener.wait l
+
+(* The stub of the drain test holds every request until [release];
    [wait_held] returns once one is held. The held answer is larger
    than a 64 KiB read block. *)
 let held_response =
@@ -412,26 +522,16 @@ let stub_shard sock =
     Mutex.protect m (fun () -> while not (pred ()) do Condition.wait cv m done)
   in
   let set r = Mutex.protect m (fun () -> r := true; Condition.broadcast cv) in
-  let l = Listener.bind (Listener.Unix_sock sock) in
-  Listener.start l
-    { Listener.accepted = ignore;
-      line =
-        (fun conn seq line ->
-          match line with
-          | Ok line when contains line {|"op":"health"|} ->
-              Listener.send conn seq
-                (W.ok_line ~id:None ~op:"health" [ ("generation", W.I 1) ])
-          | _ ->
-              set held;
-              await (fun () -> !released);
-              Listener.send conn seq held_response);
-      drain = ignore
-    };
+  let stop_listener =
+    stub_listener sock (fun _ ->
+        set held;
+        await (fun () -> !released);
+        held_response)
+  in
   let release () = set released in
   let stop () =
     release ();
-    Listener.drain l;
-    Listener.wait l
+    stop_listener ()
   in
   (fun () -> await (fun () -> !held)), release, stop
 
@@ -473,6 +573,226 @@ let test_router_drain () =
       Client.close c2;
       Alcotest.fail "connect after drain should fail"
 
+(* --- sessions named by digest ---------------------------------------- *)
+
+(* A recording stub behind a one-shard router: [answer] sees each
+   non-health line the router sent; [seen ()] lists them in order. *)
+let with_stub_router ?gen ?probed tag answer f =
+  let ssock = temp_sock (tag ^ "s") and rsock = temp_sock (tag ^ "r") in
+  List.iter (fun s -> if Sys.file_exists s then Sys.remove s) [ ssock; rsock ];
+  let m = Mutex.create () and seen = ref [] in
+  let stop =
+    stub_listener ?gen ?probed ssock (fun line ->
+        let line = Result.get_ok line in
+        Mutex.protect m (fun () -> seen := line :: !seen);
+        answer line)
+  in
+  Fun.protect ~finally:stop @@ fun () ->
+  let raddr = Daemon.Unix_sock rsock in
+  let router =
+    Router.start
+      { (Router.default_config ~addr:raddr ~shards:[ Daemon.Unix_sock ssock ])
+        with
+        Router.probe_interval_s = 0.02
+      }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.drain router;
+      Router.wait router)
+    (fun () ->
+      Client.with_conn raddr (fun c ->
+          f ~request:(request_exn c)
+            ~seen:(fun () -> Mutex.protect m (fun () -> List.rev !seen))))
+
+(* The stub's answer: ok, echoing the op and id and whether the line
+   named its session by digest. *)
+let stub_ok line =
+  let r = Result.get_ok (W.parse_request line) in
+  W.ok_line ~id:r.W.id ~op:r.W.op
+    [ ("named", W.B (W.str_field r "session" <> None)) ]
+
+let field line k = W.str_field (Result.get_ok (W.parse_request line)) k
+
+let digest_of tag = Session.digest ~schema ~db:(db tag)
+
+let by_digest tag line =
+  field line "session" = Some (digest_of tag)
+  && field line "db" = None
+  && field line "schema" = None
+
+let by_text line = field line "db" <> None && field line "session" = None
+
+let test_router_names_by_digest () =
+  with_stub_router "dg" stub_ok @@ fun ~request ~seen ->
+  ignore (request (certain_line ~id:"q1" "d"));
+  check Alcotest.string "the answer is relayed as the stub sent it"
+    {|{"id":"q2","ok":true,"op":"certain","named":true}|}
+    (request (certain_line ~id:"q2" "d"));
+  match seen () with
+  | [ first; second ] ->
+      check Alcotest.bool "the first line carries the text" true
+        (by_text first);
+      check Alcotest.bool "the next names the session by digest alone" true
+        (by_digest "d" second);
+      check Alcotest.bool "and keeps the request's other fields" true
+        (contains second {|"query":"Q(x) := R(x) & !S(x)"|}
+        && contains second {|"id":"q2"|})
+  | lines -> Alcotest.failf "stub saw %d lines, not 2" (List.length lines)
+
+(* A stub that holds what the router loaded into it by text: a line
+   that names a session it does not hold gets unknown_session, as a
+   daemon that evicted it would answer. [evict ()] empties it. *)
+let holding_stub () =
+  let m = Mutex.create () and holds = Hashtbl.create 8 in
+  let answer line =
+    let r = Result.get_ok (W.parse_request line) in
+    let held =
+      Mutex.protect m (fun () ->
+          match
+            (W.str_field r "session", W.str_field r "schema", W.str_field r "db")
+          with
+          | Some d, _, _ -> Hashtbl.mem holds d
+          | None, Some schema, Some db ->
+              Hashtbl.replace holds (Session.digest ~schema ~db) ();
+              true
+          | None, _, _ -> true)
+    in
+    if held then stub_ok line
+    else W.error_line ~id:r.W.id W.Unknown_session "not held"
+  in
+  (answer, fun () -> Mutex.protect m (fun () -> Hashtbl.reset holds))
+
+(* A shard that lost a session answers unknown_session to its digest:
+   the router replays the update log behind the text and sends the
+   request again, by digest (a second loss then shows as another
+   unknown_session, never as a silent reload). A session without a log
+   gets the client's line again. The client sees only the retried
+   answers. *)
+let test_router_unknown_session_retry () =
+  let answer, evict = holding_stub () in
+  with_stub_router "uk" answer @@ fun ~request ~seen ->
+  check Alcotest.bool "update accepted" true
+    (contains (request (update_line ~id:"u1" "e")) {|"ok":true|});
+  ignore (request (certain_line ~id:"f1" "f"));
+  evict ();
+  check Alcotest.string "the client gets the retried answer"
+    {|{"id":"q","ok":true,"op":"certain","named":true}|}
+    (request (certain_line ~id:"q" "e"));
+  check Alcotest.string "and on a session without a log too"
+    {|{"id":"f2","ok":true,"op":"certain","named":false}|}
+    (request (certain_line ~id:"f2" "f"));
+  match seen () with
+  | [ u1; f1; named; replay; retry; named_f; retry_f ] ->
+      check Alcotest.bool "update and first read went as text" true
+        (by_text u1 && by_text f1);
+      check Alcotest.bool "the read named the session" true
+        (by_digest "e" named);
+      check Alcotest.bool "then the log replays, as text" true
+        (by_text replay && contains replay {|"id":"u1"|}
+        && contains replay {|"op":"update"|});
+      check Alcotest.bool "then the request again, by digest" true
+        (by_digest "e" retry && contains retry {|"id":"q"|});
+      check Alcotest.bool "the read without a log named its session" true
+        (by_digest "f" named_f);
+      check Alcotest.string "then went again as the client sent it"
+        (certain_line ~id:"f2" "f") retry_f
+  | lines -> Alcotest.failf "stub saw %d lines, not 7" (List.length lines)
+
+(* A shard that loses the session again while it is being replayed
+   (two sessions thrashing a small shard) ends the request: a read
+   fails over, here to no other shard, and an update is refused. Each
+   request sends the stub a bounded number of lines. *)
+let test_router_lost_twice () =
+  let answer line =
+    if field line "session" <> None then
+      W.error_line ~id:None W.Unknown_session "never held"
+    else stub_ok line
+  in
+  with_stub_router "lt" answer @@ fun ~request ~seen ->
+  check Alcotest.bool "update accepted" true
+    (contains (request (update_line ~id:"u1" "g")) {|"ok":true|});
+  check Alcotest.bool "the read is unavailable" true
+    (contains (request (certain_line ~id:"q" "g")) {|"error":"shard_unavailable"|});
+  check Alcotest.bool "so is the update" true
+    (contains
+       (request (update_line ~id:"u2" ~row:4 "g"))
+       {|"error":"shard_unavailable"|});
+  match seen () with
+  | [ _u1; q; replay_q; retry_q; u2; replay_u; retry_u ] ->
+      check Alcotest.bool "each request: digest, replay as text, digest" true
+        (by_digest "g" q && by_text replay_q && by_digest "g" retry_q
+        && by_digest "g" u2 && by_text replay_u && by_digest "g" retry_u)
+  | lines -> Alcotest.failf "stub saw %d lines, not 7" (List.length lines)
+
+(* A restarted shard holds nothing, at a new health generation: its
+   digest line gets unknown_session and the router sends it the text
+   again, whether or not the prober has seen the new generation yet.
+   After that the shard is a holder, also once the prober has seen
+   it. *)
+let test_router_restart_resends_text () =
+  let gen = Atomic.make 1 and probes_at_2 = Atomic.make 0 in
+  let probed g = if g = 2 then Atomic.incr probes_at_2 in
+  let answer, evict = holding_stub () in
+  with_stub_router ~gen ~probed "rs" answer @@ fun ~request ~seen ->
+  ignore (request (certain_line ~id:"q1" "r"));
+  ignore (request (certain_line ~id:"q2" "r"));
+  evict ();
+  Atomic.set gen 2;
+  ignore (request (certain_line ~id:"q3" "r"));
+  (* The prober is sequential: once it has sent a second probe at the
+     new generation, it has taken in the answer to the first. *)
+  wait_until "the router sees generation 2" (fun () ->
+      Atomic.get probes_at_2 >= 2);
+  ignore (request (certain_line ~id:"q4" "r"));
+  match seen () with
+  | [ q1; q2; q3; q3'; q4 ] ->
+      check Alcotest.bool "text first" true (by_text q1);
+      check Alcotest.bool "then digest" true (by_digest "r" q2);
+      check Alcotest.bool "the restarted shard lost it" true
+        (by_digest "r" q3);
+      check Alcotest.bool "and gets the text again" true (by_text q3');
+      check Alcotest.bool "then the digest, also after the probe" true
+        (by_digest "r" q4)
+  | lines -> Alcotest.failf "stub saw %d lines, not 5" (List.length lines)
+
+(* Records that no update touched are capped at 16 per shard, least
+   recently used dropped first; an updated session's record stays. A
+   client line that names a session by digest is refused. *)
+let test_router_record_cap () =
+  with_stub_router "cp" stub_ok @@ fun ~request ~seen ->
+  let nseen () = List.length (seen ()) in
+  let last () = List.nth (seen ()) (nseen () - 1) in
+  ignore (request (update_line ~id:"u" "kept"));
+  ignore (request (certain_line ~id:"a1" "lru"));
+  ignore (request (certain_line ~id:"a2" "lru"));
+  check Alcotest.bool "the read session is named by digest" true
+    (by_digest "lru" (last ()));
+  for i = 1 to 16 do
+    ignore (request (certain_line ~id:"f" (Printf.sprintf "f%d" i)))
+  done;
+  ignore (request (certain_line ~id:"a3" "lru"));
+  check Alcotest.bool "its record was dropped: the text goes again" true
+    (by_text (last ()));
+  ignore (request (certain_line ~id:"k" "kept"));
+  check Alcotest.bool "the updated session kept its record" true
+    (by_digest "kept" (last ()));
+  check Alcotest.bool "health counts 16 unlogged records and the logged one"
+    true
+    (contains (request {|{"op":"health"}|}) {|"sessions":17|});
+  let before = nseen () in
+  let resp =
+    request
+      (W.obj
+         [ ("id", W.S "s"); ("op", W.S "certain");
+           ("session", W.S (digest_of "kept"));
+           ("query", W.S "Q(x) := R(x) & !S(x)")
+         ])
+  in
+  check Alcotest.bool "a client digest is a bad request" true
+    (contains resp {|"error":"bad_request"|});
+  check Alcotest.int "and reaches no shard" before (nseen ())
+
 let () =
   Alcotest.run "router"
     [ ( "ring",
@@ -500,10 +820,26 @@ let () =
             test_router_failover;
           Alcotest.test_case "updates replayed into a restarted primary"
             `Quick test_router_replay_after_restart;
+          Alcotest.test_case "a primary restarted between two probes" `Quick
+            test_router_restart_between_probes;
           Alcotest.test_case "request lines are length-capped" `Quick
             test_router_caps_line_length;
           Alcotest.test_case "graceful drain" `Quick test_router_drain;
           Alcotest.test_case "line cap is exact at 2^20 bytes" `Quick
-            test_router_cap_is_exact
+            test_router_cap_is_exact;
+          Alcotest.test_case "an evicted session keeps its updates" `Quick
+            test_router_eviction_keeps_updates
+        ] );
+      ( "digest",
+        [ Alcotest.test_case "a holder gets the digest, not the db" `Quick
+            test_router_names_by_digest;
+          Alcotest.test_case "unknown_session: replay, then retry" `Quick
+            test_router_unknown_session_retry;
+          Alcotest.test_case "a session lost during its replay ends the request"
+            `Quick test_router_lost_twice;
+          Alcotest.test_case "a restarted shard gets the text again" `Quick
+            test_router_restart_resends_text;
+          Alcotest.test_case "records are capped, logged ones kept" `Quick
+            test_router_record_cap
         ] )
     ]

@@ -407,6 +407,131 @@ let test_service_update_errors () =
     (expect_ok (handle certain)
     = expect_ok (Service.handle ~sessions:fresh ~jobs:1 (parse_ok certain)))
 
+(* --- sessions named by digest --------------------------------------- *)
+
+let render (r : W.request) = function
+  | Ok payload -> W.ok_line ~id:r.W.id ~op:r.W.op payload
+  | Error (err, msg) -> W.error_line ~id:r.W.id err msg
+
+(* The request of [fields] that names its session by digest alone. *)
+let named_line ~digest fields =
+  W.obj (("session", W.S digest) :: fields)
+
+let text_line fields =
+  W.obj (("schema", W.S schema_a) :: ("db", W.S db_a) :: fields)
+
+(* Every op answers a [session] request exactly as its text form, and
+   updates through the digest land in the same session as through the
+   text. Each request runs against its own store: the text form in
+   one, the digest form in another loaded from the same text. *)
+let test_service_session_form () =
+  let by_text = Session.create () and by_digest = Session.create () in
+  let digest = Session.digest ~schema:schema_a ~db:db_a in
+  let entry =
+    Result.get_ok (Session.get by_digest ~schema:schema_a ~db:db_a)
+  in
+  check Alcotest.string "entry carries its digest" digest entry.Session.digest;
+  check Alcotest.int "hex MD5" 32 (String.length digest);
+  let requests =
+    [ [ ("id", W.S "c1"); ("op", W.S "certain");
+        ("query", W.S "Q(x,y) := R(x,y) & !S(x,y)")
+      ];
+      [ ("id", W.S "m1"); ("op", W.S "measure");
+        ("query", W.S "Q(x,y) := R(x,y)"); ("tuple", W.S "('c1', ~1)");
+        ("ks", W.S "1,2,3")
+      ];
+      [ ("id", W.S "d1"); ("op", W.S "conditional");
+        ("constraints", W.S "fd R : a -> b");
+        ("query", W.S "Q(x,y) := R(x,y)"); ("tuple", W.S "('c1', 'v')")
+      ];
+      [ ("id", W.S "a1"); ("op", W.S "approx");
+        ("query", W.S "Q(x,y) := R(x,y)"); ("tuple", W.S "('c1', 'v')");
+        ("k", W.I 3); ("eps", W.S "1/4"); ("delta", W.S "1/4");
+        ("seed", W.I 7)
+      ];
+      [ ("id", W.S "n1"); ("op", W.S "analyze");
+        ("query", W.S "Q(x) := exists y. R(x,y) & !S(x,y)");
+        ("scheme", W.S "sql")
+      ];
+      [ ("id", W.S "u1"); ("op", W.S "update"); ("action", W.S "insert");
+        ("relation", W.S "S"); ("tuple", W.S "('c2', 'v')")
+      ];
+      [ ("id", W.S "c2"); ("op", W.S "certain");
+        ("query", W.S "Q(x,y) := R(x,y) & !S(x,y)")
+      ];
+      [ ("id", W.S "u2"); ("op", W.S "update"); ("action", W.S "delete");
+        ("relation", W.S "S"); ("tuple", W.S "('c2', 'v')")
+      ];
+      [ ("id", W.S "u3"); ("op", W.S "update"); ("action", W.S "delete");
+        ("relation", W.S "S"); ("tuple", W.S "('c2', 'v')")
+      ]
+    ]
+  in
+  List.iter
+    (fun fields ->
+      let answer sessions line =
+        let r = parse_ok line in
+        render r (Service.handle ~sessions ~jobs:1 r)
+      in
+      let want = answer by_text (text_line fields) in
+      check Alcotest.bool ("text form answers " ^ want) true
+        (contains want {|"ok":true|} || contains want "not in S");
+      check Alcotest.string "session form answers the same bytes" want
+        (answer by_digest (named_line ~digest fields)))
+    requests
+
+let test_service_unknown_session () =
+  let sessions = Session.create ~max_sessions:1 () in
+  let handle line = Service.handle ~sessions ~jobs:1 (parse_ok line) in
+  let certain =
+    [ ("op", W.S "certain"); ("query", W.S "Q(x,y) := R(x,y)") ]
+  in
+  let msg =
+    expect_err W.Unknown_session
+      (handle (named_line ~digest:(String.make 32 '0') certain))
+  in
+  check Alcotest.bool "says to resend the text" true (contains msg "\"db\"");
+  ignore (expect_ok (handle (text_line certain)));
+  let digest = Session.digest ~schema:schema_a ~db:db_a in
+  ignore (expect_ok (handle (named_line ~digest certain)));
+  (* Loading a second session evicts the first from a one-entry store:
+     its digest names nothing any more. *)
+  let other = "R = { ('c9', ~7) }; S = { }" in
+  ignore
+    (expect_ok
+       (handle
+          (W.obj (("schema", W.S schema_a) :: ("db", W.S other) :: certain))));
+  ignore (expect_err W.Unknown_session (handle (named_line ~digest certain)));
+  (* A request names its session one way only. *)
+  List.iter
+    (fun extra ->
+      let msg =
+        expect_err W.Bad_request
+          (handle (W.obj ((("session", W.S digest) :: extra) @ certain)))
+      in
+      check Alcotest.bool "names both ways" true (contains msg "not both"))
+    [ [ ("db", W.S db_a) ]; [ ("schema", W.S schema_a); ("db", W.S db_a) ] ]
+
+(* A digest that names one pair is never handed to another: with a
+   digest function that collides on every pair, the second pair is
+   refused while the first is live, and loads once it is evicted. *)
+let test_session_digest_collision () =
+  let s =
+    Session.create ~max_sessions:1 ~digest:(fun ~schema:_ ~db:_ -> "same") ()
+  in
+  let e1 = Result.get_ok (Session.get s ~schema:schema_a ~db:db_a) in
+  let db2 = "R = { ('c9', ~7) }; S = { }" in
+  (match Session.get s ~schema:schema_a ~db:db2 with
+  | Ok _ -> Alcotest.fail "a colliding pair was loaded"
+  | Error msg ->
+      check Alcotest.bool "refusal names the digest" true
+        (contains msg "digest"));
+  (match Session.find s "same" with
+  | Some e ->
+      check Alcotest.bool "digest still names the first pair" true (e == e1)
+  | None -> Alcotest.fail "first pair lost its digest");
+  check Alcotest.int "no load, no eviction" 1 (Session.count s)
+
 (* --- daemon end-to-end -------------------------------------------- *)
 
 let temp_sock tag =
@@ -757,7 +882,13 @@ let () =
           Alcotest.test_case "update mutates the session in place" `Quick
             test_service_update;
           Alcotest.test_case "update validation" `Quick
-            test_service_update_errors
+            test_service_update_errors;
+          Alcotest.test_case "session form answers as the text form" `Quick
+            test_service_session_form;
+          Alcotest.test_case "unknown and evicted digests" `Quick
+            test_service_unknown_session;
+          Alcotest.test_case "a digest names one pair" `Quick
+            test_session_digest_collision
         ] );
       ( "daemon",
         [ Alcotest.test_case "end to end over a unix socket" `Quick
