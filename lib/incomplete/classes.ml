@@ -13,6 +13,21 @@ let enumerate ~anchor_set ~nulls =
       List.map (fun m -> { partition; anchors = Array.to_list m }) maps)
     partitions
 
+(* A class is a partition into j blocks (S(m,j) of them) and an
+   injective partial map of the blocks into A: choose the i anchored
+   blocks (C(j,i)) and inject them (P(|A|,i)). *)
+let count ~anchor_set ~nulls =
+  let a = List.length anchor_set and m = List.length nulls in
+  let sum lo hi f =
+    List.fold_left (fun acc x -> Arith.Bigint.add acc (f x)) Arith.Bigint.zero
+      (Combinat.range lo hi)
+  in
+  sum 0 m (fun j ->
+      Arith.Bigint.mul (Combinat.stirling2 m j)
+        (sum 0 j (fun i ->
+             Arith.Bigint.mul (Combinat.binomial j i)
+               (Combinat.falling_factorial a i))))
+
 let free_block_count c =
   List.length (List.filter Option.is_none c.anchors)
 

@@ -30,6 +30,13 @@ val enumerate : anchor_set:int list -> nulls:int list -> t list
 (** All classes: set partitions crossed with injective partial
     anchor maps. Their number depends only on [|A|] and [m]. *)
 
+val count : anchor_set:int list -> nulls:int list -> Arith.Bigint.t
+(** [List.length (enumerate ~anchor_set ~nulls)] in closed form,
+    without enumerating: [Σ_j S(m,j) · Σ_i C(j,i) · P(|A|,i)] for
+    [m] nulls, where [S] counts the partitions into [j] blocks, [C]
+    the choices of the [i] anchored blocks and [P] (falling factorial)
+    their injections into [A]. *)
+
 val free_block_count : t -> int
 
 val representative : anchor_set:int list -> t -> Valuation.t

@@ -108,6 +108,9 @@ type t = {
       (* knull index → the (completed row, cell) slots its image
          occupies across all mentioned relations *)
   base_codes : int array; (* Const(D) ∪ consts(φ), sorted *)
+  dconsts : int array; (* Const(D), sorted *)
+  dnulls : int array; (* Null(D), sorted *)
+  dnull_pos : int array; (* Null(D) index → knull index *)
   dom : Value.t array; (* base values ++ room for the null images *)
   base_dom_n : int;
   compiled : Compiled.t;
@@ -119,9 +122,10 @@ type t = {
   mutable prev_valid : bool;
 }
 
-let compile db sentence =
-  if not (Formula.is_sentence sentence) then
-    invalid_arg "Kernel.compile: formula is not a sentence";
+(* [compile_with build db f]: the completed rows, null images and
+   domain of [f] on [db]; [build] compiles [f] against the resulting
+   source, closed or open. *)
+let compile_with build db sentence =
   let knulls =
     Array.of_list
       (List.sort_uniq Int.compare
@@ -230,7 +234,7 @@ let compile db sentence =
     let p = pos_of n in
     fun () -> Array.unsafe_get null_img p
   in
-  let compiled = Compiled.of_source { src_mem; src_scan; src_null } sentence in
+  let compiled = build { Compiled.src_mem; src_scan; src_null } sentence in
   let base_codes =
     Array.of_list
       (List.sort_uniq Int.compare
@@ -247,6 +251,9 @@ let compile db sentence =
     null_img;
     ndeps;
     base_codes;
+    dconsts = Array.of_list (Split.constants db.split);
+    dnulls = Array.of_list (Split.nulls db.split);
+    dnull_pos = Array.of_list (List.map pos_of (Split.nulls db.split));
     dom;
     base_dom_n;
     compiled;
@@ -256,6 +263,15 @@ let compile db sentence =
     prev_digits = [||];
     prev_valid = false;
   }
+
+let compile db sentence =
+  if not (Formula.is_sentence sentence) then
+    invalid_arg "Kernel.compile: formula is not a sentence";
+  compile_with (Compiled.of_source ?free:None) db sentence
+
+let compile_query db (q : Logic.Query.t) =
+  compile_with (Compiled.of_source_open ~free:q.Logic.Query.free) db
+    q.Logic.Query.body
 
 let sentence t = t.sentence
 
@@ -305,20 +321,77 @@ let refresh_domain t =
     Compiled.set_domain t.compiled t.dom !n
   end
 
-let holds t v =
-  (* Every compiled support check is a refresh: requests minus
-     refreshes are the checks that took the naive path. *)
+(* Complete the rows in place under v. Every compiled support check
+   is a refresh: requests minus refreshes are the checks that took the
+   naive path. *)
+let complete t v =
   Obs.Metrics.incr Obs.Metrics.kernel_refreshes;
-  let m = Array.length t.knulls in
   (* Null images under v (raises like Valuation.instance would if a
      null of D or of the sentence is unassigned). *)
-  for i = 0 to m - 1 do
+  for i = 0 to Array.length t.knulls - 1 do
     refresh_null t i (Value.const (Valuation.find_exn v t.knulls.(i)))
   done;
   refresh_domain t;
   (* The row cells no longer reflect [prev_digits]. *)
-  t.prev_valid <- false;
+  t.prev_valid <- false
+
+let holds t v =
+  complete t v;
   Compiled.run t.compiled
+
+(* Open mode. The answers of the completion are mapped back to
+   adom(D)^m through [inverse]: the values of adom(D) with a given
+   image. Emitted values outside the image of adom(D) have no
+   preimage, which is also what keeps answer variables inside the
+   active domain. *)
+let preimages t inverse f =
+  let m = List.length (Compiled.free_vars t.compiled) in
+  let cur = Array.make m (Value.null 0) in
+  Compiled.enumerate t.compiled (fun b ->
+      let rec expand i =
+        if i = m then f (Tuple.unsafe_of_array cur)
+        else
+          List.iter
+            (fun a ->
+              cur.(i) <- a;
+              expand (i + 1))
+            (inverse b.(i))
+      in
+      expand 0)
+
+(* [{ā ∈ adom(D)^m : v(ā) ∈ Q(v(D))}]: a value's preimages are
+   itself if it is a constant of D, and the nulls of D it is the
+   image of. *)
+let answers t v =
+  complete t v;
+  preimages t (fun b ->
+      let from_nulls = ref [] in
+      for j = Array.length t.dnulls - 1 downto 0 do
+        if Value.equal t.null_img.(t.dnull_pos.(j)) b then
+          from_nulls := Value.null t.dnulls.(j) :: !from_nulls
+      done;
+      match b with
+      | Value.Const c when base_mem t.dconsts c -> b :: !from_nulls
+      | _ -> !from_nulls)
+
+(* Nulls read as themselves: the images are the nulls, and the
+   domain is Const(D) ∪ consts(φ) plus Null(D) — a null only the
+   query mentions is no value of the instance, as in Eval. *)
+let naive_answers t =
+  Array.iteri (fun i n -> refresh_null t i (Value.null n)) t.knulls;
+  Array.iteri
+    (fun j n -> t.dom.(t.base_dom_n + j) <- Value.null n)
+    t.dnulls;
+  Compiled.set_domain t.compiled t.dom (t.base_dom_n + Array.length t.dnulls);
+  t.prev_valid <- false;
+  let acc = ref [] in
+  preimages t
+    (function
+      | Value.Const c as b when base_mem t.dconsts c -> [ b ]
+      | Value.Null n as b when base_mem t.dnulls n -> [ b ]
+      | _ -> [])
+    (fun a -> acc := Tuple.copy a :: !acc);
+  Relational.Relation.of_list (List.length (Compiled.free_vars t.compiled)) !acc
 
 let prepare_digits t ~nulls =
   let same =

@@ -76,6 +76,31 @@ val holds : t -> Valuation.t -> bool
 (** [v(D) ⊨ φ[v]].
     @raise Invalid_argument if [v] misses a null of [D] or [φ]. *)
 
+(** {1 Open mode}
+
+    A query compiles to an enumerator of its answers
+    ({!Logic.Compiled.of_source_open}) over the same in-place
+    completion: one evaluation yields every answer of [v(D)], not one
+    verdict for one tuple. Both entry points map the answers back to
+    the active domain of [D]. *)
+
+val compile_query : db -> Logic.Query.t -> t
+(** Compile a query in open mode; {!holds} and {!holds_digits} do not
+    apply to the result. *)
+
+val answers : t -> Valuation.t -> (Relational.Tuple.t -> unit) -> unit
+(** [answers t v f] calls [f] on every tuple of
+    [{ā ∈ adom(D)^m : v(ā) ∈ Q(v(D))}], i.e. [v⁻¹(Q(v(D)))] over the
+    active domain, by one open evaluation on [v(D)]. A tuple may be
+    passed more than once. It is a reused buffer, valid only during
+    the call: copy it to retain it.
+    @raise Invalid_argument if [v] misses a null of [D] or of the
+    query. *)
+
+val naive_answers : t -> Relational.Relation.t
+(** [Q^naïve(D)]: one open evaluation with every null read as itself
+    ({!Naive.answers}). Equal to [Eval.answers] on the instance. *)
+
 (** {1 Digit fast path}
 
     The exhaustive-sweep loop: an {!Enumerate.odometer} steps an

@@ -5,7 +5,16 @@ module Eval = Logic.Eval
 module Query = Logic.Query
 module Formula = Logic.Formula
 
-let answers inst q = Eval.answers inst q
+(* All answers come from one open evaluation on the instance's kernel
+   db (memoized on the instance, or the session cache's), with nulls
+   read as themselves: no call indexes an instance the db was built
+   for again. A single verdict stays with the interpreter, which needs
+   no index: its callers ask it about instances no db exists for (a
+   chase result, fresh after every update), where building one would
+   cost more than the verdict. *)
+let answers ?cache inst q =
+  Kernel.naive_answers (Kernel.compile_query (Support.kernel_db ?cache inst) q)
+
 let boolean inst q = Eval.boolean_answer inst q
 let tuple_in inst q tuple = Eval.tuple_in_answer inst q tuple
 

@@ -6,9 +6,20 @@
     the choice of [v] is irrelevant. Evaluating the formula directly on
     the incomplete instance (nulls compared structurally) computes the
     same thing; both implementations are provided and their agreement is
-    a test, not an assumption. *)
+    a test, not an assumption.
 
-val answers : Relational.Instance.t -> Logic.Query.t -> Relational.Relation.t
+    {!answers} runs on the compiled kernel ({!Kernel.naive_answers})
+    over the instance's kernel db, with every null read as itself: one
+    open evaluation yields every answer, and the db is the one memoized
+    on the instance (or held by [?cache]), so a repeated call on one
+    instance neither splits nor indexes it again. It agrees with
+    {!Logic.Eval.answers} on every input (property-tested). The
+    single-verdict entry points interpret the formula ({!Logic.Eval}),
+    which needs no index. *)
+
+val answers :
+  ?cache:Support.cache ->
+  Relational.Instance.t -> Logic.Query.t -> Relational.Relation.t
 (** [Q^naïve(D)] by direct structural evaluation. *)
 
 val boolean : Relational.Instance.t -> Logic.Query.t -> bool

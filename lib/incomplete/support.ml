@@ -50,14 +50,30 @@ let default_dbs_cap = 4
 let create_cache () =
   { dbs = Exec.Cache.create ~size:8 ~max_entries:default_dbs_cap () }
 
+(* Besides the cache, every kernel db is memoized on the instance
+   value it presents (Instance.memo), so a call that holds only the
+   instance — the naive evaluation of a session's instance, say —
+   reuses the db its session built or installed instead of splitting
+   and indexing again. The memo dies with the instance. *)
+type Instance.derived += Kernel_db of Kernel.db
+
+let memoized inst =
+  match Instance.memo inst with
+  | Some (Kernel_db db) -> db
+  | _ ->
+      let db = Kernel.db_of_instance inst in
+      Instance.memoize inst (Kernel_db db);
+      db
+
 let kernel_db ?cache inst =
   match cache with
-  | None -> Kernel.db_of_instance inst
+  | None -> memoized inst
   | Some c ->
       Exec.Cache.find_or_add c.dbs (Instance.generation inst) (fun () ->
-          Kernel.db_of_instance inst)
+          memoized inst)
 
 let install_kernel_db c db =
+  Instance.memoize (Kernel.instance db) (Kernel_db db);
   ignore
     (Exec.Cache.find_or_add c.dbs (Kernel.db_generation db) (fun () -> db))
 

@@ -86,12 +86,15 @@ type cache
 val create_cache : unit -> cache
 
 val kernel_db : ?cache:cache -> Relational.Instance.t -> Kernel.db
-(** The split + indexed form of the instance. With [?cache] it is
-    built once per instance generation and shared by every subsequent
-    loop on that cache. *)
+(** The split + indexed form of the instance. It is built at most once
+    per instance value and memoized on it ({!Relational.Instance.memo}),
+    so a call without a cache reuses it too. With [?cache] the lookup
+    goes through the cache first (its hit and miss counters count
+    these lookups). *)
 
 val install_kernel_db : cache -> Kernel.db -> unit
-(** Seed the memo with a db under its own generation stamp. The
+(** Seed the memo with a db under its own generation stamp, and
+    memoize it on the instance it presents. The
     session mutation path (lib/server) applies a single-tuple delta to
     the kernel db ({!Kernel.db_insert}/[db_delete]) and installs the
     result, so the next query for that instance generation reuses it

@@ -58,6 +58,9 @@ type t = {
   prog : unit -> bool;
   has_quantifier : bool;
   uses_domain : bool;
+  sink : (Value.t array -> unit) ref option;
+      (* open mode: where the emit step sends each binding; [None]
+         for a closed program *)
 }
 
 let rec quantifier_depth = function
@@ -137,10 +140,17 @@ let rec cells_repeat row pos first j =
        (Tuple.get row (Array.unsafe_get first j))
      && cells_repeat row pos first (j + 1)
 
-let of_source ?free source f =
+(* [~open_:false] compiles a test of [f] under an environment binding
+   [free] (slots [0 .. m-1]). [~open_:true] compiles the block
+   [∃free. f] whose innermost continuation emits the binding of
+   [free] (the same slots) and answers [false], so the join runs to
+   exhaustion: the guarded-join plan of a quantifier block, with an
+   emit step in place of the early exit. *)
+let build ~open_ ?free source f =
   let free = match free with Some xs -> xs | None -> Formula.free_vars f in
-  let nfree = List.length free in
-  let nslots = nfree + quantifier_depth f in
+  let m = List.length free in
+  let nfree = if open_ then 0 else m in
+  let nslots = m + quantifier_depth f in
   let st =
     {
       env = Array.make (max nslots 1) dummy;
@@ -208,10 +218,10 @@ let of_source ?free source f =
         fun () -> (not (cg ())) || ch ()
     | Formula.Exists _ as g ->
         let xs, body = peel_exists [] g in
-        block vars depth xs (conjuncts body [])
+        block vars depth xs (conjuncts body []) None
     | Formula.Forall _ as g ->
         let xs, body = peel_forall [] g in
-        let cb = block vars depth xs (negated body []) in
+        let cb = block vars depth xs (negated body []) None in
         fun () -> not (cb ())
   (* ∃x̄. c₁ ∧ … ∧ cₙ as a join. The binders take the slots
      [b0 .. b0+n-1]; a plan binds them step by step:
@@ -229,8 +239,13 @@ let of_source ?free source f =
 
      Every other conjunct is tested as soon as its binders are bound.
      Binding from rows agrees with ranging over the domain because the
-     domain contains every row value (the invariant of [of_source]). *)
-  and block vars depth xs cs =
+     domain contains every row value (the invariant of [of_source]).
+
+     With [emit], the block is open: [emit] replaces the final [true],
+     and a binder no conjunct mentions ranges over the domain instead
+     of only needing it nonempty, since each of its values is a
+     distinct binding. *)
+  and block vars depth xs cs emit =
     let n = List.length xs and b0 = nfree + depth in
     let vars = List.rev_append (List.mapi (fun i x -> (x, b0 + i)) xs) vars in
     let depth = depth + n in
@@ -331,7 +346,9 @@ let of_source ?free source f =
            })
         (List.map (fun (_, s) -> s - b0) !binds)
     in
-    let mentioned = Array.init n (fun i -> Array.exists (List.mem i) refs) in
+    let mentioned =
+      Array.init n (fun i -> emit <> None || Array.exists (List.mem i) refs)
+    in
     let rec plan () =
       match find_let 0 with
       | Some (j, i, t) ->
@@ -434,14 +451,26 @@ let of_source ?free source f =
               else fallback ()
           end
     in
-    let k = ref (chain tests.(nsteps) None) in
+    let k = ref (chain tests.(nsteps) emit) in
     for i = nsteps - 1 downto 0 do
       k := chain tests.(i) (Some (compile_step steps.(i) (always !k)))
     done;
     always !k
   in
   let slots = List.mapi (fun i x -> (x, i)) free in
-  let prog = go slots 0 f in
+  let sink = if open_ then Some (ref ignore) else None in
+  let prog =
+    match sink with
+    | None -> go slots 0 f
+    | Some k ->
+        let out = Array.make m dummy in
+        let emit () =
+          Array.blit env 0 out 0 m;
+          !k out;
+          false
+        in
+        block [] 0 free (conjuncts f []) (Some emit)
+  in
   {
     formula = f;
     free;
@@ -450,7 +479,19 @@ let of_source ?free source f =
     prog;
     has_quantifier = quantifier_depth f > 0;
     uses_domain = !uses_domain;
+    sink;
   }
+
+let of_source ?free source f = build ~open_:false ?free source f
+let of_source_open ~free source f = build ~open_:true ~free source f
+
+let enumerate t k =
+  match t.sink with
+  | None -> invalid_arg "Compiled.enumerate: formula compiled closed"
+  | Some sink ->
+      sink := k;
+      ignore (t.prog ());
+      sink := ignore
 
 let set_domain t dom n =
   if n < 0 || n > Array.length dom then
@@ -520,3 +561,18 @@ let sentence_holds t =
   else t.prog ()
 
 let run t = t.prog ()
+
+let answers inst (q : Query.t) =
+  let t = of_source_open ~free:q.Query.free (instance_source inst) q.Query.body in
+  let dom = Array.of_list (Eval.domain inst q.Query.body) in
+  set_domain t dom (Array.length dom);
+  (* Answer variables range over adom(D) only (as in Eval.answers);
+     the join binds them over the whole domain, so bindings that use a
+     query constant outside adom(D) are dropped here. *)
+  let adom = Hashtbl.create 64 in
+  List.iter (fun v -> Hashtbl.replace adom v ()) (Instance.adom inst);
+  let result = ref (Relational.Relation.empty (Query.arity q)) in
+  enumerate t (fun b ->
+      if Array.for_all (Hashtbl.mem adom) b then
+        result := Relational.Relation.add (Tuple.of_array b) !result);
+  !result

@@ -93,6 +93,35 @@ val of_source : ?free:string list -> source -> Formula.t -> t
     source exposes, plus the formula's constants. A narrower domain
     gives wrong answers. *)
 
+(** {1 Open mode}
+
+    An open formula compiles to an enumerator of the bindings of its
+    free variables: the guarded-join plan of a quantifier block over
+    the free variables, with an emit step in place of the early exit.
+    In [Q(x,y) := R(x,y) ∧ ¬S(x,y)] the rows of [R] bind [x] and [y],
+    [¬S] is probed, and every surviving row is emitted — one scan, not
+    one sentence check per tuple of the domain. *)
+
+val of_source_open : free:string list -> source -> Formula.t -> t
+(** Compile [f] in open mode over the free variables [free] (every
+    free variable of [f] must be listed; a listed variable [f] does not
+    mention ranges over the domain). The domain invariant of
+    {!of_source} applies. *)
+
+val enumerate : t -> (Relational.Value.t array -> unit) -> unit
+(** [enumerate t k] calls [k] on every binding of the free variables
+    (in [free] order) over the domain under which the formula holds.
+    A binding may be passed more than once (a row and an equal
+    completed row are both scanned). The array is a reused buffer,
+    valid only during the call.
+    @raise Invalid_argument if [t] was not compiled in open mode. *)
+
+val answers : Relational.Instance.t -> Query.t -> Relational.Relation.t
+(** The compiled counterpart of {!Eval.answers}: one open evaluation
+    on the instance, nulls read as themselves, answer tuples kept when
+    they lie in [adom(D)^m]. Equal to [Eval.answers] on every instance
+    and query (property-tested). *)
+
 val set_domain : t -> Relational.Value.t array -> int -> unit
 (** [set_domain t dom n]: quantifiers range over [dom.(0..n-1)]. The
     array is adopted, not copied — callers may refresh it between

@@ -9,7 +9,12 @@ type t = {
          demand, merged through add_tuple, dropped by every other
          update. Identity metadata like [gen] — ignored by equal and
          compare, never shared between instances. *)
+  derived : derived option Atomic.t;
+      (* the memoized derived structure ({!memo}): set on demand,
+         never carried to another instance value *)
 }
+
+and derived = ..
 
 (* Monotone generation stamps. Every instance value carries a
    process-unique stamp, allocated from one atomic counter at each
@@ -24,6 +29,12 @@ let gen_counter = Atomic.make 1
 let next_gen () = Atomic.fetch_and_add gen_counter 1
 
 let generation t = t.gen
+
+(* One memo cell per instance value, like the domain memo: a racing
+   second writer stores an equal structure, so the last write wins
+   harmlessly. *)
+let memo t = Atomic.get t.derived
+let memoize t d = Atomic.set t.derived (Some d)
 
 (* Active-domain memo. Computing Const(D)/Null(D) is a full scan of
    every tuple; evaluation paths (anchor sets, µ^k null lists, naive
@@ -59,7 +70,13 @@ let empty schema =
       (fun m name -> SMap.add name (Relation.empty (Schema.arity schema name)) m)
       SMap.empty (Schema.relations schema)
   in
-  { gen = next_gen (); schema; relations; dom = Atomic.make (Some ([], [])) }
+  {
+    gen = next_gen ();
+    schema;
+    relations;
+    dom = Atomic.make (Some ([], []));
+    derived = Atomic.make None;
+  }
 
 let schema t = t.schema
 
@@ -77,7 +94,8 @@ let set_relation name r t =
       { t with
         gen = next_gen ();
         relations = SMap.add name r t.relations;
-        dom = Atomic.make None
+        dom = Atomic.make None;
+        derived = Atomic.make None
       }
 
 let add_tuple name tuple t =
@@ -87,7 +105,8 @@ let add_tuple name tuple t =
       { t with
         gen = next_gen ();
         relations = SMap.add name (Relation.add tuple r) t.relations;
-        dom = Atomic.make (dom_after_add t.dom tuple)
+        dom = Atomic.make (dom_after_add t.dom tuple);
+        derived = Atomic.make None
       }
 
 let remove_tuple name tuple t =
@@ -97,7 +116,8 @@ let remove_tuple name tuple t =
       { t with
         gen = next_gen ();
         relations = SMap.add name (Relation.remove tuple r) t.relations;
-        dom = Atomic.make None
+        dom = Atomic.make None;
+        derived = Atomic.make None
       }
 
 let of_rows schema rows =
@@ -149,7 +169,8 @@ let map_values f t =
   { t with
     gen = next_gen ();
     relations = SMap.map (Relation.map_values f) t.relations;
-    dom = Atomic.make None
+    dom = Atomic.make None;
+    derived = Atomic.make None
   }
 
 let subst_nulls f t =
@@ -169,7 +190,8 @@ let union a b =
             | Some r, None | None, Some r -> Some r
             | None, None -> None)
           a.relations b.relations;
-      dom = Atomic.make None
+      dom = Atomic.make None;
+      derived = Atomic.make None
     }
 
 let equal a b = SMap.equal Relation.equal a.relations b.relations

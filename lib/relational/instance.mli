@@ -40,6 +40,23 @@ val generation : t -> int
     never be served for a mutated database. The stamp is identity
     metadata only; {!equal}/{!compare}/{!isomorphic} ignore it. *)
 
+(** {1 Derived structures}
+
+    One structure derived from an instance value can be memoized on
+    the value itself, so that a caller holding only the instance
+    reuses it (the incomplete library's kernel database: split and
+    hash indexes). Like the generation stamp it is identity metadata:
+    every construction and functional update starts without one, and
+    {!equal}/{!compare} ignore it. *)
+
+type derived = ..
+
+val memo : t -> derived option
+
+val memoize : t -> derived -> unit
+(** Replace the memoized structure. Safe from several domains; the
+    structure must be a function of the instance's content. *)
+
 val schema : t -> Schema.t
 
 val relation : t -> string -> Relation.t

@@ -5,6 +5,7 @@ let of_array = Array.copy
 let unsafe_of_array (a : Value.t array) : t = a
 let to_list = Array.to_list
 let to_array = Array.copy
+let copy = Array.copy
 let empty : t = [||]
 let arity = Array.length
 let get (t : t) i = t.(i)

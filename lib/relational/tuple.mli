@@ -15,6 +15,10 @@ val unsafe_of_array : Value.t array -> t
     while the tuple is live — reserved for hot paths (the compiled
     evaluation kernel probes indexes with a reused buffer). *)
 
+val copy : t -> t
+(** A fresh tuple with the same values: keeps a tuple whose array
+    {!unsafe_of_array} adopted from a reused buffer. *)
+
 val to_list : t -> Value.t list
 val to_array : t -> Value.t array
 

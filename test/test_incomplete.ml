@@ -420,7 +420,103 @@ let test_certain_guard_inside_scan () =
     if !calls >= 2 then raise Deadline
   in
   Alcotest.check_raises "cancelled mid-scan" Deadline (fun () ->
-      ignore (Certain.certain_answers_enumerated ~jobs:1 ~guard d q))
+      ignore (Certain.certain_answers_enumerated ~jobs:1 ~guard d q));
+  (* The class-major pass polls too, every 16 of the 372 classes. *)
+  calls := 0;
+  Alcotest.check_raises "cancelled mid-pass" Deadline (fun () ->
+      ignore (Certain.possible_answers ~jobs:1 ~guard d q))
+
+let prop_classes_count =
+  QCheck.Test.make ~name:"Classes.count = |Classes.enumerate|" ~count:60
+    (QCheck.pair (QCheck.int_range 0 5) (QCheck.int_range 0 4))
+    (fun (a, m) ->
+      let anchor_set = List.init a (fun i -> i + 1)
+      and nulls = List.init m (fun i -> i + 1) in
+      B.equal
+        (Classes.count ~anchor_set ~nulls)
+        (B.of_int (List.length (Classes.enumerate ~anchor_set ~nulls))))
+
+(* Random first-order queries of arity 0–2 over R/2 and S/1: every
+   connective and both quantifiers, constants inside and outside
+   Const(D) (the instance draws from oq0–oq3, the query from oq0–oq5)
+   and nulls the instance may lack. *)
+let random_schema = Schema.make [ ("R", 2); ("S", 1) ]
+
+let random_value st ~consts =
+  if Random.State.int st 3 = 0 then Value.null (Random.State.int st 3)
+  else Value.named ("oq" ^ string_of_int (Random.State.int st consts))
+
+let random_instance st =
+  let rows bound arity =
+    List.init (Random.State.int st bound) (fun _ ->
+        List.init arity (fun _ -> random_value st ~consts:4))
+  in
+  Instance.of_rows random_schema [ ("R", rows 5 2); ("S", rows 4 1) ]
+
+let rec random_formula st ~vars ~depth =
+  let term () =
+    if vars = [] || Random.State.int st 3 = 0 then
+      F.Val (random_value st ~consts:6)
+    else F.Var (List.nth vars (Random.State.int st (List.length vars)))
+  in
+  let sub ?(vars = vars) () = random_formula st ~vars ~depth:(depth - 1) in
+  if depth = 0 then
+    match Random.State.int st 4 with
+    | 0 -> F.Atom ("R", [ term (); term () ])
+    | 1 -> F.Atom ("S", [ term () ])
+    | 2 -> F.Eq (term (), term ())
+    | _ -> if Random.State.bool st then F.True else F.False
+  else
+    match Random.State.int st 6 with
+    | 0 -> F.Not (sub ())
+    | 1 -> F.And (sub (), sub ())
+    | 2 -> F.Or (sub (), sub ())
+    | 3 -> F.Implies (sub (), sub ())
+    | _ ->
+        let v = List.nth [ "x"; "y"; "z" ] (Random.State.int st 3) in
+        let body = sub ~vars:(v :: vars) () in
+        if Random.State.bool st then F.Exists (v, body) else F.Forall (v, body)
+
+let random_case ~depth =
+  QCheck.make
+    ~print:(fun (d, q) -> Instance.to_string d ^ "\n" ^ Query.to_string q)
+    (fun st ->
+      let d = random_instance st in
+      let free = List.filteri (fun i _ -> i < Random.State.int st 3) [ "x"; "y" ] in
+      (d, Query.make free (random_formula st ~vars:free ~depth)))
+
+let prop_open_enumerator_is_eval =
+  (* The compiled open enumerator, and naive evaluation on the kernel
+     (nulls read as themselves), are Eval's answers. *)
+  QCheck.Test.make ~name:"open enumerator ≡ Eval.answers" ~count:300
+    (random_case ~depth:3) (fun (d, q) ->
+      let expected = Logic.Eval.answers d q in
+      Relation.equal (Logic.Compiled.answers d q) expected
+      && Relation.equal (Naive.answers d q) expected)
+
+let prop_class_major_is_candidate_major =
+  (* Class-major certain, possible and naive answers against the
+     candidate-major oracle, at jobs 1 and 4. *)
+  QCheck.Test.make ~name:"class-major ≡ candidate-major" ~count:150
+    (random_case ~depth:2) (fun (d, q) ->
+      let certain = Certain.certain_answers_enumerated ~jobs:1 d q in
+      let possible =
+        Relation.of_list (Query.arity q)
+          (List.filter (Certain.is_possible d q)
+             (List.map Tuple.of_list
+                (Arith.Combinat.tuples (Instance.adom d) (Query.arity q))))
+      in
+      let naive = Logic.Eval.answers d q in
+      List.for_all
+        (fun jobs ->
+          let a = Certain.answers ~jobs d q in
+          Relation.equal a.Certain.certain certain
+          && Relation.equal a.Certain.possible possible
+          && Relation.equal a.Certain.naive naive
+          && Relation.equal (Certain.certain_answers ~jobs d q) certain
+          && Relation.equal (Certain.possible_answers ~jobs d q) possible
+          && Relation.equal (Certain.certain_answers_enumerated ~jobs d q) certain)
+        [ 1; 4 ])
 
 let prop_naive_superset_certain =
   (* Corollary 1: □(Q,D) ⊆ Q^naive(D) for generic queries. Random small
@@ -605,7 +701,7 @@ let prop_possible_iff_some_valuation =
      and with a null that D may lack; its naive component is
      Naive.answers, and the certainty-only and possibility-only
      projections agree with it. Constant-free positive queries take the
-     Pos∀G dispatch, the others scan for both verdicts. *)
+     Pos∀G dispatch in certain_answers. *)
   let schema = Schema.make [ ("R", 2) ] in
   let value_gen =
     QCheck.map
@@ -791,5 +887,7 @@ let () =
             prop_posforallg_certain_is_naive;
             prop_bijective_count_matches_enumeration;
             prop_possible_iff_some_valuation;
-            prop_null_free_answers_are_naive ] )
+            prop_null_free_answers_are_naive; prop_classes_count;
+            prop_open_enumerator_is_eval;
+            prop_class_major_is_candidate_major ] )
     ]
